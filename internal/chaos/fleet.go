@@ -620,10 +620,11 @@ func (c *fleetCampaign) finish() Result {
 	}}, c.verdicts...)
 
 	var epochs uint64
-	var drops int64
+	var drops, resyncs int64
 	failovers := 0
 	for _, pr := range c.fleet.Pairs {
 		epochs += pr.Repl.Epochs()
+		resyncs += pr.Repl.Resyncs.Value()
 		failovers += pr.Failovers
 	}
 	// Replay-divergence oracle at host granularity: every pair that
@@ -659,6 +660,7 @@ func (c *fleetCampaign) finish() Result {
 		Terminal:    fmt.Sprintf("host-kill×%d", len(c.victims)),
 		Verdicts:    c.verdicts,
 		Epochs:      epochs,
+		Resyncs:     resyncs,
 		LinkDrops:   drops,
 		AckedWrites: sum(c.acked),
 		SentWrites:  sum(c.sent),

@@ -140,3 +140,27 @@ func TestFleetKillsNeverAdjacent(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetResultCountsResyncs: a fleet result reports the full
+// resynchronizations its pairs ran, as a single-pair campaign does. It
+// used to leave Resyncs at zero for every fleet. A zone kill takes one
+// member of every chain whose slot sat in the zone; each chain repair
+// brings the new replica up from a full-resync baseline.
+func TestFleetResultCountsResyncs(t *testing.T) {
+	res := RunFleet(FleetConfig{
+		Seed:     1,
+		Opts:     core.AllOpts(),
+		OptName:  "all",
+		Pairs:    4,
+		Workers:  6,
+		Spares:   3,
+		Replicas: 3,
+		Zones:    3,
+	})
+	if !res.Passed {
+		t.Fatalf("zone-kill fleet campaign failed:\n%s", res.Trace)
+	}
+	if res.Resyncs <= 0 {
+		t.Fatalf("host-kill campaign reports %d resyncs, want > 0", res.Resyncs)
+	}
+}

@@ -276,6 +276,12 @@ func (b *BackupAgent) checkHeartbeat() {
 
 // receiveState handles a checkpoint's arrival.
 func (b *BackupAgent) receiveState(epoch uint64, img *criu.Image) {
+	if img.Released() {
+		// The primary recycled this image's page buffers when its transfer
+		// was dropped; committing it would alias pages of a later
+		// checkpoint (DESIGN.md §8, page-buffer ownership).
+		panic(fmt.Sprintf("core: page-buffer ownership violation: delivering released image of epoch %d", epoch))
+	}
 	if b.recovered || b.halted {
 		return
 	}

@@ -319,9 +319,7 @@ func (r *Replicator) declareUnprotected() {
 		r.epochEvent.Cancel()
 	}
 	r.quiesced = true
-	r.inflight = make(map[uint64]*epochRun)
-	r.parked = nil
-	r.hasParkedDirect = false
+	r.dropRuns()
 	r.Ctr.Qdisc.SetReplicating(false)
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
@@ -346,8 +344,7 @@ func (r *Replicator) supersededSeen() bool {
 	}
 	r.setLeaseState(LeaseSuperseded)
 	r.cancelLeaseTimers()
-	r.parked = nil
-	r.hasParkedDirect = false
+	r.dropRuns()
 	if !r.stopped {
 		// Discard before Stop: Stop flushes the qdisc via
 		// SetReplicating(false), and unacked output must never escape a

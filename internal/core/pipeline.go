@@ -54,6 +54,13 @@ type epochRun struct {
 	// lossy marks a run whose own transfer was dropped on the link; it is
 	// retired by a later cumulative ack and excluded from measurement.
 	lossy bool
+
+	// delivered marks a run whose image reached slot 0's backup, which
+	// now owns its page buffers. held is the page content the run counts
+	// in the replicator's retained-bytes gauge: set at checkpoint, zeroed
+	// once the image is delivered or released or the run is retired.
+	delivered bool
+	held      int64
 }
 
 // start dispatches to a stage's implementation. The driver (advance)
@@ -144,6 +151,8 @@ func (run *epochRun) freezeCollect() {
 
 	img, stats := r.engine.Checkpoint()
 	run.img, run.stats = img, stats
+	run.held = img.PageBytes()
+	r.addRetained(run.held)
 
 	var stop simtime.Duration
 	if r.Cfg.Opts.PipelinedTransfer {
@@ -308,6 +317,8 @@ func (run *epochRun) transfer() {
 		}
 		cl.Xfer.SubmitReq(r.Ctr.ID, img.StreamChunks(xferChunkBytes), func() {
 			b.receiveState(epoch, img)
+			run.delivered = true
+			r.unhold(run)
 			now := cl.Clock.Now()
 			run.complete(StageTransfer, now, now.Sub(start))
 		}, func() {
@@ -317,6 +328,18 @@ func (run *epochRun) transfer() {
 			// not left frozen forever waiting on a delivery that cannot
 			// happen. Output stays buffered: AwaitAck completes only via a
 			// later cumulative ack.
+			//
+			// The image itself is dead weight from here on: the scheduler
+			// never fires done after dropped, and chain replicas got
+			// clones, so its page buffers are exclusively ours. Release
+			// them now instead of pinning a (typically full) image per
+			// epoch for as long as the backup stays unreachable. Only the
+			// header that recordStop/record read survives.
+			if run.delivered {
+				panic(fmt.Sprintf("core: page-buffer ownership violation: epoch %d dropped after delivery", epoch))
+			}
+			img.Release()
+			r.unhold(run)
 			run.lossy = true
 			if !r.stopped {
 				r.resyncArmed = true
@@ -403,6 +426,7 @@ func (run *epochRun) finishRelease(now simtime.Time) {
 		r.released = run.epoch
 		r.hasReleased = true
 	}
+	r.unhold(run)
 	run.complete(StageReleaseOutput, now, now.Sub(run.startAt))
 	run.record()
 }

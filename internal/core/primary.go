@@ -74,6 +74,12 @@ type Replicator struct {
 	// Resyncs counts full resynchronizations triggered by lost epochs.
 	Resyncs metrics.Counter
 
+	// RetainedGauge is the page content (bytes) held by in-flight and
+	// parked pipeline runs whose image has been neither delivered to
+	// slot 0's backup nor released after a drop: the primary's memory
+	// cost of an unreachable backup (RetainedBytes).
+	RetainedGauge metrics.Gauge
+
 	// Wire-format frame counters (DESIGN.md §8): how every transferred
 	// page was encoded. With the encoder disabled all pages count as
 	// full frames.
@@ -232,9 +238,7 @@ func (r *Replicator) Stop() {
 		r.epochEvent.Cancel()
 	}
 	r.cancelLeaseTimers()
-	r.inflight = make(map[uint64]*epochRun)
-	r.parked = nil
-	r.hasParkedDirect = false
+	r.dropRuns()
 	if r.rec != nil {
 		r.rec.uninstall()
 	}
@@ -251,6 +255,39 @@ func (r *Replicator) Stop() {
 
 // Epochs returns how many checkpoints have been taken.
 func (r *Replicator) Epochs() uint64 { return r.epoch }
+
+// RetainedBytes returns the page content held by pipeline runs whose
+// image is still waiting for delivery (RetainedGauge). With the backup
+// unreachable it must stay flat: dropped images are released at the
+// drop.
+func (r *Replicator) RetainedBytes() int64 { return r.RetainedGauge.Value() }
+
+func (r *Replicator) addRetained(n int64) {
+	r.RetainedGauge.Set(r.RetainedGauge.Value() + n)
+}
+
+// unhold removes run's page content from the retained-bytes gauge (its
+// image was delivered or released, or the run left the pipeline).
+func (r *Replicator) unhold(run *epochRun) {
+	r.addRetained(-run.held)
+	run.held = 0
+}
+
+// dropRuns forgets every in-flight pipeline run and parked release:
+// replication ended or was abandoned, so none of their output will ever
+// release through the pipeline.
+func (r *Replicator) dropRuns() {
+	for _, run := range r.inflight {
+		run.held = 0
+	}
+	for _, run := range r.parked {
+		run.held = 0
+	}
+	r.inflight = make(map[uint64]*epochRun)
+	r.parked = nil
+	r.hasParkedDirect = false
+	r.RetainedGauge.Set(0)
+}
 
 // heartbeat sends a heartbeat if the container made progress since the
 // last tick (cpuacct increased) or is intentionally frozen by our own

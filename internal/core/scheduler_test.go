@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"nilicon/internal/simnet"
@@ -243,4 +245,95 @@ func TestSchedulerDropAccountingVariableChunks(t *testing.T) {
 	if dropCnt != 2 {
 		t.Fatalf("post-outage transfer also dropped: %d", dropCnt)
 	}
+}
+
+// TestSchedulerDoneAndDroppedExclusive: the pipeline recycles a dropped
+// image's page buffers at the drop (release-on-drop, pipeline.go), which
+// is only safe if a request whose drop callback fired can never also
+// complete, and vice versa. Link flaps are placed exactly on chunk
+// delivery instants, last chunks included, and in both same-instant
+// orders: a flap scheduled up front runs before the chunk's delivery
+// event, one scheduled after the chunk went on the wire runs after it.
+// Every request must fire exactly one of done and dropped, exactly once.
+func TestSchedulerDoneAndDroppedExclusive(t *testing.T) {
+	type reqSpec struct {
+		flow   string
+		chunks []int64
+	}
+	var totalDone, totalDropped, lastChunkFlaps int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		specs := make([]reqSpec, 12)
+		for i := range specs {
+			ch := make([]int64, 1+rng.Intn(5))
+			for j := range ch {
+				ch[j] = xferChunkBytes
+			}
+			ch[len(ch)-1] = 1 + rng.Int63n(xferChunkBytes)
+			specs[i] = reqSpec{flow: fmt.Sprintf("repl-%d", i%2), chunks: ch}
+		}
+
+		// Dry run: the same chunks, one request each, in the same per-flow
+		// order, so round-robin service is unchanged; records every chunk's
+		// delivery instant.
+		clock, _, sched := newTestScheduler()
+		at := make([][]simtime.Time, len(specs))
+		for i, sp := range specs {
+			at[i] = make([]simtime.Time, len(sp.chunks))
+			for j, c := range sp.chunks {
+				i, j := i, j
+				sched.Submit(sp.flow, []int64{c}, func() { at[i][j] = clock.Now() })
+			}
+		}
+		clock.RunFor(simtime.Second)
+
+		// Flapped run.
+		clock, link, sched := newTestScheduler()
+		flap := func(when simtime.Time, down bool) {
+			if rng.Intn(2) == 0 {
+				clock.ScheduleAt(when, func() { link.SetDown(down) })
+				return
+			}
+			clock.ScheduleAt(when-1, func() {
+				clock.ScheduleAt(when, func() { link.SetDown(down) })
+			})
+		}
+		for i := range at {
+			for j, when := range at[i] {
+				last := j == len(at[i])-1
+				if rng.Intn(4) != 0 && !(last && rng.Intn(2) == 0) {
+					continue
+				}
+				if last {
+					lastChunkFlaps++
+				}
+				flap(when, true)
+				// Heal on a later request's first chunk boundary, or
+				// anywhere within the next few chunk times.
+				heal := when.Add(1 + simtime.Duration(rng.Int63n(int64(600*simtime.Microsecond))))
+				if k := rng.Intn(len(at)); at[k][0] > when {
+					heal = at[k][0]
+				}
+				flap(heal, false)
+			}
+		}
+		dones := make([]int, len(specs))
+		drops := make([]int, len(specs))
+		for i, sp := range specs {
+			i := i
+			sched.SubmitReq(sp.flow, sp.chunks, func() { dones[i]++ }, func() { drops[i]++ })
+		}
+		clock.RunFor(simtime.Second)
+		for i := range specs {
+			if dones[i]+drops[i] != 1 {
+				t.Fatalf("seed %d request %d: done fired %d times, dropped %d times", seed, i, dones[i], drops[i])
+			}
+			totalDone += dones[i]
+			totalDropped += drops[i]
+		}
+	}
+	if totalDone == 0 || totalDropped == 0 || lastChunkFlaps == 0 {
+		t.Fatalf("flaps exercised too little: %d done, %d dropped, %d last-chunk flaps", totalDone, totalDropped, lastChunkFlaps)
+	}
+	t.Logf("%d done, %d dropped, %d last-chunk flaps", totalDone, totalDropped, lastChunkFlaps)
 }

@@ -333,3 +333,37 @@ type testApp struct{ val string }
 
 func (a testApp) SnapshotState() any { return a.val }
 func (a testApp) RestoreState(s any) {}
+
+// TestReleaseKeepsOnlyHeader: a dropped image gives up all content and
+// keeps the header the pipeline's measurement filters read; the next
+// checkpoint, which may draw the released buffers from the pool, still
+// captures exact page content.
+func TestReleaseKeepsOnlyHeader(t *testing.T) {
+	ctr, _ := newTestContainer()
+	p, v := addWorkProcess(ctr, "app", 16)
+	ctr.App = testApp{val: "state"}
+	e := NewEngine(ctr, NiLiConOptions())
+	defer e.Close()
+	img, _ := e.Checkpoint()
+	ctr.Thaw()
+	if img.PageBytes() < 16*simkernel.PageSize || img.Released() {
+		t.Fatalf("fresh image: %d page bytes, released=%v", img.PageBytes(), img.Released())
+	}
+	epoch := img.Epoch
+	img.Release()
+	if !img.Released() || !img.Full || img.Epoch != epoch || img.ContainerID != ctr.ID {
+		t.Fatalf("header lost: %+v", img)
+	}
+	if img.PageBytes() != 0 || len(img.Procs) != 0 || img.AppState != nil || len(img.FSCache.Pages) != 0 {
+		t.Fatal("released image still holds content")
+	}
+
+	_ = p.Mem.Touch(v, 0, 16, 9)
+	next, _ := e.Checkpoint()
+	ctr.Thaw()
+	for _, pg := range next.Procs[0].Pages {
+		if want := p.Mem.PageData(pg.PN); !bytes.Equal(pg.Data, want) {
+			t.Fatalf("page %#x captured wrong content after buffer reuse", pg.PN)
+		}
+	}
+}

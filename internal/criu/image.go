@@ -96,6 +96,10 @@ type Image struct {
 	// commits those segments — even ones lost on the wire — and lets the
 	// backup truncate its log to segments newer than the checkpoint.
 	LogSeqThrough uint64
+
+	// released marks an image whose content was given up by Release;
+	// only its header remains.
+	released bool
 }
 
 // Clone returns a copy of the image that is safe to deliver to an
@@ -151,6 +155,46 @@ func (img *Image) Clone() *Image {
 		cp.FSCache.Pages = pages
 	}
 	return &cp
+}
+
+// Release gives up the content of an image that can never reach a
+// replica (its transfer was dropped on the link). The verbatim page
+// buffers are exclusively the image's — the collector filled them and
+// no replica received them; chain replicas got Clones — so they return
+// to the collector's pool. Encoded frame payloads are co-owned by the
+// delta encoder's bases and are only dereferenced. Everything but the
+// header (ContainerID, Epoch, Full) is cleared: fs-cache pages, socket
+// and process snapshots, and AppState.
+func (img *Image) Release() {
+	for i := range img.Procs {
+		for _, pg := range img.Procs[i].Pages {
+			putPageBuf(pg.Data)
+		}
+	}
+	*img = Image{ContainerID: img.ContainerID, Epoch: img.Epoch, Full: img.Full, released: true}
+}
+
+// Released reports whether Release has run. A released image must never
+// be delivered: its page buffers may already hold another checkpoint.
+func (img *Image) Released() bool { return img.released }
+
+// PageBytes returns the page content the image holds: verbatim pages,
+// encoded frame payloads and fs-cache pages.
+func (img *Image) PageBytes() int64 {
+	var n int64
+	for i := range img.Procs {
+		p := &img.Procs[i]
+		for _, pg := range p.Pages {
+			n += int64(len(pg.Data))
+		}
+		for fi := range p.Frames {
+			n += int64(len(p.Frames[fi].Data) + len(p.Frames[fi].Delta))
+		}
+	}
+	for _, pe := range img.FSCache.Pages {
+		n += int64(len(pe.Data))
+	}
+	return n
 }
 
 // DirtyPages returns the number of memory pages in the image.
