@@ -26,9 +26,8 @@
 //	               -replicas N>2 places f+1 chains zone-anti-affine over
 //	               -zones failure domains and kills a whole zone)
 //	fleetbench     BENCH_4.json: fleet scaling sweep, as JSON on stdout
-//	bench5         BENCH_5.json: simulation-engine event throughput,
-//	               serial clock vs sharded event wheels, as JSON on
-//	               stdout
+//	bench5         BENCH_5.json: simulation-engine event throughput at
+//	               1/2/4/8 lanes, as JSON on stdout
 //	bench6         BENCH_6.json: externally-visible response latency
 //	               across output-commit disciplines (stop-and-copy,
 //	               pipelined, lease, record/replay), as JSON on stdout
@@ -167,8 +166,8 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.zones = fs.Int("zones", 0, "fleet: failure domains for zone-anti-affine chain placement (0 = auto: max(replicas, 1))")
 	a.smoke = fs.Bool("smoke", false, "fleet: reduced CI shape (4 pairs, 4 hosts, 1 kill, short window)")
 	a.degrade = fs.String("degrade", "strict", "chaos/fleet: lease degradation policy (strict|availability)")
-	a.shards = fs.Int("shards", 0, "chaos/fleet: simulation engine (0 = serial clock; N>=1 = sharded event wheels with N lanes, trace-identical for any N)")
-	a.workers = fs.Int("workers", 0, "chaos/fleet: window-drain goroutines for the sharded engine (0 = ladder mode; N>=1 = conservative windows, trace-identical for any N)")
+	a.shards = fs.Int("shards", 1, "chaos/fleet: simulation engine lanes (N>=1 event wheels, trace-identical for any N)")
+	a.workers = fs.Int("workers", 0, "chaos/fleet: window-drain goroutines for the engine (0 = ladder mode; N>=1 = conservative windows, trace-identical for any N)")
 	a.synth = fs.String("synth", "", "traffic: synthesize a trace from this profile (uniform|zipf|burst|slowclient) to stdout")
 	a.capture = fs.String("capture", "", "traffic: run this server benchmark's uniform clients under capture and write the recorded trace to stdout")
 	a.replay = fs.Bool("replay", false, "traffic: read a JSONL trace from stdin and replay it through a chaos campaign with SLO judging")
@@ -283,14 +282,11 @@ func (a *app) validate() error {
 	if *a.jobs < 1 {
 		return fmt.Errorf("-j must be >= 1 (got %d)", *a.jobs)
 	}
-	if *a.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (got %d)", *a.shards)
+	if *a.shards < 1 {
+		return fmt.Errorf("-shards must be >= 1 (got %d)", *a.shards)
 	}
 	if *a.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (got %d)", *a.workers)
-	}
-	if *a.workers > 0 && *a.shards == 0 {
-		return fmt.Errorf("-workers requires the sharded engine (-shards >= 1)")
 	}
 	if *a.seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1 (got %d)", *a.seeds)
@@ -418,7 +414,7 @@ func (a *app) runBench() error {
 
 func (a *app) runChaos() error {
 	if *a.sweep {
-		results, tb := harness.RunChaosSweepSharded(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), harness.Jobs, *a.shards, *a.workers)
+		results, tb := harness.RunChaosSweep(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), harness.Jobs, *a.shards, *a.workers)
 		fmt.Fprintln(a.stdout, tb)
 		failed := 0
 		for _, res := range results {

@@ -26,7 +26,7 @@ type LatencyConfig struct {
 	Lease bool
 	// Duration is the measured window after warmup. Default 2 s.
 	Duration simtime.Duration
-	// Shards selects the simulation engine (see Config.Shards).
+	// Shards is the engine's lane count (see Config.Shards).
 	Shards int
 }
 
@@ -51,16 +51,8 @@ func RunLatency(cfg LatencyConfig) LatencyResult {
 		cfg.Duration = 2 * simtime.Second
 	}
 
-	var clock *simtime.Clock
-	var cl *core.Cluster
-	if cfg.Shards > 0 {
-		sc := simtime.NewShardedClock(cfg.Shards)
-		clock = sc.Root()
-		cl = core.NewShardedCluster(sc, core.ClusterParams{})
-	} else {
-		clock = simtime.NewClock()
-		cl = core.NewCluster(clock, core.ClusterParams{})
-	}
+	clock := newEngine(cfg.Shards, 0)
+	cl := core.NewCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("latency", "10.0.0.10", 1)
 	app := newKVApp(ctr)
 

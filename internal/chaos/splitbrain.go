@@ -53,8 +53,8 @@ type SplitBrainConfig struct {
 	// configuration (core.ReplayOpts) instead of core.AllOpts, so the
 	// scripted lease geometries also exercise log-commit-gated release.
 	Replay bool
-	// Shards / Workers select the simulation engine (see Config.Shards
-	// and Config.Workers).
+	// Shards / Workers set the engine's lane count and window-drain
+	// goroutines (see Config.Shards and Config.Workers).
 	Shards  int
 	Workers int
 }

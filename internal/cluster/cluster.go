@@ -117,7 +117,7 @@ type Params struct {
 	// Isolated builds a fleet whose pairs never schedule across engine
 	// lanes, so it can run the sharded engine's conservative-window mode
 	// (SetWorkers > 0). Placement becomes coupled — primary and backup
-	// land on the two hosts of a couple, and NewSharded pins both hosts'
+	// land on the two hosts of a couple, and New pins both hosts'
 	// shards to the same lane — the host-failure control plane (detector,
 	// re-protection pump) stays disarmed, and the shared Timeline is
 	// dropped (per-pair records would race under parallel drains). The
@@ -449,35 +449,15 @@ func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([
 }
 
 // New builds the fleet: hosts, NICs, placements, per-pair volumes, DRBD
-// pairs, workloads, and replicators. Nothing runs until Start.
+// pairs, workloads, and replicators. Nothing runs until Start. The
+// switch and the control plane (detector, re-protection pump) run on
+// clock, and every host gets its own shard of clock's engine in
+// pool-index order, so shard assignment is topology-deterministic.
+// Because a host's NIC fans out to whichever hosts back its pairs, the
+// fleet runs the engine's ladder mode: cross-shard schedules are legal
+// and the (when, shard, seq) key keeps the trace independent of the
+// lane count.
 func New(clock *simtime.Clock, params Params) (*Fleet, error) {
-	return build(clock, func(int) *simtime.Clock { return clock }, params)
-}
-
-// NewSharded builds the same fleet on a sharded engine: the switch and
-// the control plane (detector, re-protection pump) run on the root
-// shard, and every host gets its own shard in pool-index order so shard
-// assignment is topology-deterministic. Because a host's NIC fans out to
-// whichever hosts back its pairs, the fleet runs the engine's ladder
-// mode: cross-shard schedules are legal and the (when, shard, seq) key
-// keeps the trace independent of the lane count.
-func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
-	if params.Isolated {
-		// Couple c's two hosts (2c, 2c+1) share lane c mod Lanes: every
-		// pair's machinery — replication NIC, DRBD, acks — stays on one
-		// lane, which makes conservative windows legal (cross-lane
-		// Schedule would panic mid-window). Restore round-robin shard
-		// assignment afterwards for any later NewShard callers.
-		defer sc.PinNewShards(-1)
-		return build(sc.Root(), func(i int) *simtime.Clock {
-			sc.PinNewShards((i / 2) % sc.Lanes())
-			return sc.NewShard()
-		}, params)
-	}
-	return build(sc.Root(), func(int) *simtime.Clock { return sc.NewShard() }, params)
-}
-
-func build(clock *simtime.Clock, hostClock func(i int) *simtime.Clock, params Params) (*Fleet, error) {
 	params.defaults()
 	if params.Isolated && (params.Replicas > 2 || params.Zones > 1) {
 		return nil, fmt.Errorf("cluster: isolated (coupled) fleets are pair-only; replicas=%d zones=%d need the chain control plane",
@@ -495,10 +475,23 @@ func build(clock *simtime.Clock, hostClock func(i int) *simtime.Clock, params Pa
 		// recording when Timeline is nil.
 		f.Timeline = nil
 	}
+	sc := clock.Engine()
+	if params.Isolated {
+		// Restore round-robin shard assignment afterwards for any later
+		// NewShard callers.
+		defer sc.PinNewShards(-1)
+	}
 	total := params.Workers + params.Spares
 	for i := 0; i < total; i++ {
 		name := fmt.Sprintf("host%02d", i)
-		hc := hostClock(i)
+		if params.Isolated {
+			// Couple c's two hosts (2c, 2c+1) share lane c mod Lanes:
+			// every pair's machinery — replication NIC, DRBD, acks —
+			// stays on one lane, which makes conservative windows legal
+			// (cross-lane Schedule would panic mid-window).
+			sc.PinNewShards((i / 2) % sc.Lanes())
+		}
+		hc := sc.NewShard()
 		h := &Host{
 			Index: i,
 			Name:  name,

@@ -64,7 +64,7 @@ type replicaSlot struct {
 }
 
 // NewChainReplicator wires a replicator over an f+1 chain of cluster
-// views as built by NewChainViews/NewShardedChainViews: views[0] is the
+// views as built by NewChainViews: views[0] is the
 // classic primary/backup pair, each further view adds one replica that
 // shares the primary side and brings its own backup host, links and
 // DRBD secondary.

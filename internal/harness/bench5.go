@@ -14,32 +14,32 @@ import (
 	"nilicon/internal/simtime"
 )
 
-// BENCH_5 measures raw simulation-event throughput of the two engines on
-// the same fleet workload: the legacy serial clock (a single binary
-// heap) against the sharded per-host event wheels at several lane
-// counts. The fleet is steady-state replicating — every pair runs full
-// epochs (freeze, copy, transfer, ack, release) — but its pairs run an
-// event-dense, byte-light workload (fine-grained wakes, one dirty page
-// per handful of steps, the profile of a latency-sensitive interactive
-// service) so the pending-event population stays deep and engine cost,
-// not page copying, dominates the run. Virtual work is identical across
-// rows (same seed, same shape, same virtual duration); only the engine
-// differs, so events/sec isolates scheduler cost.
+// BENCH_5 measures raw simulation-event throughput of the engine on a
+// fleet workload at several lane counts. The fleet is steady-state
+// replicating — every pair runs full epochs (freeze, copy, transfer,
+// ack, release) — but its pairs run an event-dense, byte-light workload
+// (fine-grained wakes, one dirty page per handful of steps, the profile
+// of a latency-sensitive interactive service) so the pending-event
+// population stays deep and engine cost, not page copying, dominates
+// the run. Virtual work is identical across rows (same seed, same
+// shape, same virtual duration); only the lane count differs, so
+// events/sec isolates scheduler cost.
 
-// Bench5Row is one engine configuration of the BENCH_5 throughput sweep.
+// Bench5Row is one lane count of the BENCH_5 throughput sweep.
 type Bench5Row struct {
-	Engine string `json:"engine"` // "serial" or "sharded"
-	// Lanes is the sharded engine's lane count (0 for the serial row).
-	Lanes  int `json:"lanes"`
-	Hosts  int `json:"hosts"`
-	Pairs  int `json:"pairs"`
-	Shards int `json:"shards"` // logical shards (hosts + root; 0 for serial)
+	// Engine is always "sharded"; the committed BENCH_5.json also holds a
+	// historical "serial" row from before the engines were merged.
+	Engine string `json:"engine"`
+	Lanes  int    `json:"lanes"`
+	Hosts  int    `json:"hosts"`
+	Pairs  int    `json:"pairs"`
+	Shards int    `json:"shards"` // logical shards (hosts + root)
 	// Events is the number of simulation events executed.
 	Events uint64 `json:"events"`
 	// WallMs is the real time the run took; EventsPerSec = Events/Wall.
 	WallMs       float64 `json:"wall_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is EventsPerSec over the serial row's (1.0 for serial).
+	// Speedup is EventsPerSec over the one-lane row's (1.0 for it).
 	Speedup float64 `json:"speedup"`
 }
 
@@ -50,8 +50,7 @@ type Bench5Report struct {
 	VirtualMs int64       `json:"virtual_ms"`
 	Rows      []Bench5Row `json:"rows"`
 	// LadderMonotone is the regression assertion for the tournament-tree
-	// head selection: sharded events/sec must be non-decreasing in lane
-	// count, within a noise floor of ladderNoiseTolerance per step
+	// head selection: events/sec must be non-decreasing in lane count, within a noise floor of ladderNoiseTolerance per step
 	// (single-core CI boxes jitter more than the residual tree cost).
 	LadderMonotone bool `json:"ladder_monotone"`
 }
@@ -62,9 +61,9 @@ type Bench5Report struct {
 // regression this guards against was a 2.4× → 0.8× cliff.
 const ladderNoiseTolerance = 0.10
 
-// The fleet the engines race on: 10 hosts, 32 pairs (4 primaries + 4
-// backups per worker), each pair's workload waking every 100µs while
-// holding a bank of parked connection timers.
+// The bench fleet: 10 hosts, 32 pairs (4 primaries + 4 backups per
+// worker), each pair's workload waking every 100µs while holding a bank
+// of parked connection timers.
 const (
 	bench5Workers = 8
 	bench5Spares  = 2
@@ -72,11 +71,10 @@ const (
 	bench5Virtual = 2 * simtime.Second
 	// bench5ParkedTimers is the per-pair bank of idle-connection timers
 	// (keepalives, request deadlines) a real service holds: ~1s periods,
-	// staggered, nearly always pending and rarely firing. They put the
-	// engines in their distinguishing regime — every near-term wake must
-	// be ordered against thousands of far-future timers, which a binary
-	// heap pays log(n) cache-missing sifts for and a timing wheel parks
-	// in far slots for O(1).
+	// staggered, nearly always pending and rarely firing. Every near-term
+	// wake must be ordered against thousands of far-future timers, which
+	// a binary heap would pay log(n) cache-missing sifts for and the
+	// timing wheel parks in far slots for O(1).
 	bench5ParkedTimers = 1024
 	// bench5Threads is the worker-thread count of each pair's service;
 	// every thread is an independent 100µs wake loop, so the event mix
@@ -88,7 +86,7 @@ const (
 // each wake every 100µs, together dirtying one page every 8th service
 // step. Epochs stay non-trivial (a real dirty set crosses the NIC every
 // checkpoint) while the event mix is dominated by scheduling, which is
-// what BENCH_5 compares.
+// what BENCH_5 measures.
 type chatterLoop struct {
 	proc *simkernel.Process
 	vma  *simkernel.VMA
@@ -168,25 +166,11 @@ func bench5Params(seed int64) cluster.Params {
 	}
 }
 
-// bench5Serial runs the workload on the legacy serial clock.
-func bench5Serial(seed int64) (events uint64, wall time.Duration) {
-	clock := simtime.NewClock()
-	f, err := cluster.New(clock, bench5Params(seed))
-	if err != nil {
-		panic("bench5: " + err.Error())
-	}
-	f.Start()
-	runtime.GC()
-	start := time.Now()
-	clock.RunFor(bench5Virtual)
-	return clock.Executed(), time.Since(start)
-}
-
-// bench5Sharded runs the identical workload on the sharded engine.
-func bench5Sharded(seed int64, lanes int) (events uint64, shards int, wall time.Duration) {
+// bench5Run runs the workload on an engine with the given lane count.
+func bench5Run(seed int64, lanes int) (events uint64, shards int, wall time.Duration) {
 	sc := simtime.NewShardedClock(lanes)
 	root := sc.Root()
-	f, err := cluster.NewSharded(sc, bench5Params(seed))
+	f, err := cluster.New(root, bench5Params(seed))
 	if err != nil {
 		panic("bench5: " + err.Error())
 	}
@@ -197,21 +181,16 @@ func bench5Sharded(seed int64, lanes int) (events uint64, shards int, wall time.
 	return sc.Executed(), sc.Shards(), time.Since(start)
 }
 
-// Bench5SerialRun runs one serial-engine leg of the race for the
-// top-level BenchmarkShardedVsSerial.
-func Bench5SerialRun(seed int64) (events uint64, wall time.Duration) {
-	return bench5Serial(seed)
-}
-
-// Bench5ShardedRun runs one sharded-engine leg at the given lane count.
-func Bench5ShardedRun(seed int64, lanes int) (events uint64, wall time.Duration) {
-	ev, _, w := bench5Sharded(seed, lanes)
+// Bench5Run runs one leg of the sweep at the given lane count, for the
+// top-level BenchmarkEngineLanes.
+func Bench5Run(seed int64, lanes int) (events uint64, wall time.Duration) {
+	ev, _, w := bench5Run(seed, lanes)
 	return ev, w
 }
 
-// RunBench5 races the engines. Rows run sequentially (never on the
-// worker pool: wall-clock timing must not share the CPU), each engine
-// configuration taking the best of three runs to damp scheduler noise.
+// RunBench5 sweeps the lane count. Rows run sequentially (never on the
+// worker pool: wall-clock timing must not share the CPU), each lane
+// count taking the best of five runs to damp scheduler noise.
 func RunBench5(seed int64) Bench5Report {
 	const tries = 5
 	// Every row runs under the same relaxed GC target (and starts its
@@ -226,37 +205,23 @@ func RunBench5(seed int64) Bench5Report {
 		VirtualMs: int64(bench5Virtual / simtime.Millisecond),
 	}
 
-	var serialEvents uint64
-	serialWall := time.Duration(1<<62 - 1)
-	for i := 0; i < tries; i++ {
-		ev, wall := bench5Serial(seed)
-		serialEvents = ev
-		if wall < serialWall {
-			serialWall = wall
-		}
-	}
-	serialRate := float64(serialEvents) / serialWall.Seconds()
-	rep.Rows = append(rep.Rows, Bench5Row{
-		Engine: "serial", Hosts: hosts, Pairs: bench5Pairs,
-		Events: serialEvents, WallMs: float64(serialWall.Microseconds()) / 1000,
-		EventsPerSec: serialRate, Speedup: 1,
-	})
-	progressf("bench5: serial %.0f events/sec", serialRate)
-
 	rep.LadderMonotone = true
-	prevRate := 0.0
+	baseRate, prevRate := 0.0, 0.0
 	for _, lanes := range []int{1, 2, 4, 8} {
 		var events uint64
 		var shards int
 		wall := time.Duration(1<<62 - 1)
 		for i := 0; i < tries; i++ {
-			ev, sh, w := bench5Sharded(seed, lanes)
+			ev, sh, w := bench5Run(seed, lanes)
 			events, shards = ev, sh
 			if w < wall {
 				wall = w
 			}
 		}
 		rate := float64(events) / wall.Seconds()
+		if baseRate == 0 {
+			baseRate = rate
+		}
 		if rate < prevRate*(1-ladderNoiseTolerance) {
 			rep.LadderMonotone = false
 		}
@@ -265,9 +230,9 @@ func RunBench5(seed int64) Bench5Report {
 			Engine: "sharded", Lanes: lanes, Hosts: hosts, Pairs: bench5Pairs,
 			Shards: shards, Events: events,
 			WallMs:       float64(wall.Microseconds()) / 1000,
-			EventsPerSec: rate, Speedup: rate / serialRate,
+			EventsPerSec: rate, Speedup: rate / baseRate,
 		})
-		progressf("bench5: sharded lanes=%d %.0f events/sec (%.2fx)", lanes, rate, rate/serialRate)
+		progressf("bench5: lanes=%d %.0f events/sec (%.2fx)", lanes, rate, rate/baseRate)
 	}
 	return rep
 }
@@ -286,13 +251,9 @@ func Bench5Table(r Bench5Report) *metrics.Table {
 	tb := metrics.NewTable(
 		fmt.Sprintf("BENCH_5: engine event throughput (%d hosts, %d pairs, %dms virtual)",
 			bench5Workers+bench5Spares, bench5Pairs, r.VirtualMs),
-		"Engine", "Lanes", "Events", "Wall", "Events/sec", "Speedup")
+		"Lanes", "Events", "Wall", "Events/sec", "Speedup")
 	for _, row := range r.Rows {
-		lanes := "-"
-		if row.Engine == "sharded" {
-			lanes = fmt.Sprintf("%d", row.Lanes)
-		}
-		tb.AddRow(row.Engine, lanes,
+		tb.AddRow(fmt.Sprintf("%d", row.Lanes),
 			fmt.Sprintf("%d", row.Events),
 			fmt.Sprintf("%.1fms", row.WallMs),
 			fmt.Sprintf("%.0f", row.EventsPerSec),

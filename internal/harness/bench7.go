@@ -102,7 +102,7 @@ func bench7Params(seed int64) cluster.Params {
 func bench7Run(seed int64, lanes, workers int) (row Bench7Row) {
 	sc := simtime.NewShardedClock(lanes)
 	sc.SetWorkers(workers)
-	f, err := cluster.NewSharded(sc, bench7Params(seed))
+	f, err := cluster.New(sc.Root(), bench7Params(seed))
 	if err != nil {
 		panic("bench7: " + err.Error())
 	}

@@ -13,7 +13,7 @@ func bench7TestFleet(t *testing.T, lanes, workers int) (events, windows uint64) 
 	t.Helper()
 	sc := simtime.NewShardedClock(lanes)
 	sc.SetWorkers(workers)
-	f, err := cluster.NewSharded(sc, cluster.Params{
+	f, err := cluster.New(sc.Root(), cluster.Params{
 		Workers:  8,
 		Pairs:    16,
 		Seed:     1,

@@ -38,15 +38,10 @@ func FleetScenarios() []FleetScenario {
 	}
 }
 
-// RunFleetCampaign runs one verified fleet campaign for a scenario.
-func RunFleetCampaign(sc FleetScenario, seed int64, duration simtime.Duration) chaos.Result {
-	return RunFleetCampaignSharded(sc, seed, duration, 0, 0)
-}
-
-// RunFleetCampaignSharded is RunFleetCampaign on an explicit simulation
-// engine (shards and workers semantics as in chaos.Config.Shards and
-// chaos.FleetConfig.EngineWorkers).
-func RunFleetCampaignSharded(sc FleetScenario, seed int64, duration simtime.Duration, shards, workers int) chaos.Result {
+// RunFleetCampaign runs one verified fleet campaign for a scenario
+// (shards and workers as in chaos.FleetConfig.Shards and
+// EngineWorkers).
+func RunFleetCampaign(sc FleetScenario, seed int64, duration simtime.Duration, shards, workers int) chaos.Result {
 	opts := core.AllOpts()
 	if sc.Replay {
 		opts = core.ReplayOpts()

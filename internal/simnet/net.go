@@ -125,15 +125,13 @@ func (s *Switch) Attach(name string) *Port {
 }
 
 // AttachOn adds a port that delivers ingress on the given host clock.
-// On a sharded engine this pins the port's traffic to the host's shard;
-// the switch's per-hop latency becomes the conservative lookahead of
-// the shard boundary (see ObserveLookahead).
+// This pins the port's traffic to the host's shard; the switch's per-hop
+// latency becomes the conservative lookahead of the shard boundary (see
+// ObserveLookahead).
 func (s *Switch) AttachOn(name string, clock *simtime.Clock) *Port {
 	p := &Port{sw: s, name: name, enabled: true, clock: clock}
 	if clock != nil {
-		if eng := clock.Engine(); eng != nil {
-			eng.ObserveLookahead(s.latency)
-		}
+		clock.Engine().ObserveLookahead(s.latency)
 	}
 	s.ports = append(s.ports, p)
 	return p
@@ -219,17 +217,14 @@ func NewLink(clock *simtime.Clock, latency simtime.Duration, bytesPerSecond int6
 	return &Link{clock: clock, latency: latency, lookahead: latency, bytesPerS: bytesPerSecond}
 }
 
-// BindRemote makes deliveries execute on the far end's clock. On a
-// sharded engine the link then becomes a shard boundary: deliveries
-// cross through the engine's mailbox, and the link's lookahead (its
-// minimum propagation delay) is reported as a conservative barrier
-// bound.
+// BindRemote makes deliveries execute on the far end's clock. The link
+// then becomes a shard boundary: deliveries cross through the engine's
+// mailbox, and the link's lookahead (its minimum propagation delay) is
+// reported as a conservative barrier bound.
 func (l *Link) BindRemote(c *simtime.Clock) {
 	l.remote = c
 	if c != nil {
-		if eng := c.Engine(); eng != nil {
-			eng.ObserveLookahead(l.Lookahead())
-		}
+		c.Engine().ObserveLookahead(l.Lookahead())
 	}
 }
 

@@ -69,27 +69,25 @@ func TestShardedLaneCountInvariance(t *testing.T) {
 	}
 }
 
-// A sharded engine with one shard per event must agree with the serial
-// clock on ordering semantics (time order, insertion-order ties within
-// a shard, clamping).
+// The engine driven from one shard must agree with the reference
+// (when, insertion order) heap on ordering semantics: time order,
+// insertion-order ties, clamping, cancels before and during the run,
+// children filed just under a wheel rotation past an unaligned cursor,
+// and times past the wheels' span.
 func TestShardedMatchesSerialSemantics(t *testing.T) {
-	serial := NewClock()
+	var delays []uint32
+	var kinds []uint8
+	var mask []bool
+	for i := 0; i < 40; i++ {
+		delays = append(delays, uint32(i*2654435761))
+		kinds = append(kinds, uint8(i*37))
+		mask = append(mask, i%7 == 3)
+	}
+	want := runProgram(refScheduler(&refClock{}), delays, kinds, mask)
 	sc := NewShardedClock(4)
-	view := sc.Root()
-	var a, b []int
-	for i := 0; i < 20; i++ {
-		i := i
-		d := Duration((i*37)%11) * Millisecond
-		serial.Schedule(d, func() { a = append(a, i) })
-		view.Schedule(d, func() { b = append(b, i) })
-	}
-	serial.Run()
-	sc.Run()
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("serial order %v != sharded order %v", a, b)
-	}
-	if serial.Now() != sc.Now() {
-		t.Fatalf("serial now %v != sharded now %v", serial.Now(), sc.Now())
+	got := runProgram(engineScheduler(sc.Root()), delays, kinds, mask)
+	if got != want {
+		t.Fatalf("engine log differs from the reference model:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -324,38 +322,50 @@ func TestShardedFarFutureOrdering(t *testing.T) {
 	}
 }
 
-// Property: arbitrary delays and cancels behave identically on the
-// serial clock and a multi-lane sharded engine driven from one shard.
+// Property: arbitrary programs (see runProgram: unaligned, tied,
+// far-future and overflow times, near-rotation children, cancels before
+// the run and of fired or pending events during it) produce the same
+// log — order, times and pending counts — on the reference heap and on
+// a multi-lane engine driven from one shard.
 func TestPropertyShardedEquivalence(t *testing.T) {
-	f := func(delaysUs []uint16, cancelMask []bool) bool {
-		serial := NewClock()
+	f := func(delays []uint32, kinds []uint8, cancelMask []bool) bool {
+		want := runProgram(refScheduler(&refClock{}), delays, kinds, cancelMask)
 		sc := NewShardedClock(3)
-		view := sc.NewShard()
-		var a, b []int
-		se := make([]*Event, len(delaysUs))
-		he := make([]*Event, len(delaysUs))
-		for i, d := range delaysUs {
-			i := i
-			dur := Duration(d) * Microsecond
-			se[i] = serial.Schedule(dur, func() { a = append(a, i) })
-			he[i] = view.Schedule(dur, func() { b = append(b, i) })
-		}
-		for i := range se {
-			if i < len(cancelMask) && cancelMask[i] {
-				se[i].Cancel()
-				he[i].Cancel()
-			}
-		}
-		serial.Run()
-		sc.Run()
-		if serial.Pending() != 0 || sc.Pending() != 0 {
+		got := runProgram(engineScheduler(sc.NewShard()), delays, kinds, cancelMask)
+		if got != want {
+			t.Logf("engine: %s\nmodel:  %s", got, want)
 			return false
 		}
-		return fmt.Sprint(a) == fmt.Sprint(b) && serial.Now() == sc.Now()
+		held, canceled := wheelCensus(sc)
+		return held == 0 && canceled == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wheelCensus counts the events an engine's wheels hold (every level
+// plus the overflow heap) and how many of them are canceled.
+func wheelCensus(sc *ShardedClock) (held, canceled int) {
+	count := func(e *Event) {
+		held++
+		if e.Canceled() {
+			canceled++
+		}
+	}
+	for _, ln := range sc.lanes {
+		for l := range ln.wh.levels {
+			for _, s := range ln.wh.levels[l].slots {
+				for _, e := range s {
+					count(e)
+				}
+			}
+		}
+		for _, e := range ln.wh.overflow {
+			count(e)
+		}
+	}
+	return held, canceled
 }
 
 func TestShardedTicker(t *testing.T) {
@@ -410,5 +420,35 @@ func BenchmarkShardedEngine(b *testing.B) {
 			v.Schedule(Microsecond, step)
 		}
 		sc.Run()
+	}
+}
+
+// Regression: with the wheel cursor halfway into a level-l slot, an event
+// just under 256^(l+1) ticks ahead sits 256 level-l slots past the
+// cursor's slot. Filed by raw tick delta, it landed in the slot aliasing
+// the cursor's own, was dated one rotation early, and every cascade
+// refiled it there: the run never returned. Each case runs under a
+// deadline so a relapse fails instead of hanging.
+func TestWheelRotationAliasNoLivelock(t *testing.T) {
+	const tick = Time(1) << tickShift
+	for l := uint(1); l < wheelLevels; l++ {
+		slot := Time(1) << (l * wheelBits) // level-l slot width, in ticks
+		cursor := slot / 2 * tick
+		due := cursor + (slot*wheelSlots-22)*tick
+		c := NewShardedClock(1).Root()
+		var fired Time = -1
+		c.ScheduleAt(cursor, func() {
+			c.ScheduleAt(due, func() { fired = c.Now() })
+		})
+		done := make(chan struct{})
+		go func() { c.Run(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("level %d: run with an event %v past an unaligned cursor did not finish", l, due-cursor)
+		}
+		if fired != due {
+			t.Fatalf("level %d: event fired at %v, want %v", l, fired, due)
+		}
 	}
 }

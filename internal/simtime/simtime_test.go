@@ -100,8 +100,19 @@ func TestCancel(t *testing.T) {
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	c := NewClock()
 	e := c.Schedule(time.Millisecond, func() {})
+	c.Schedule(2*time.Millisecond, func() {})
+	c.RunUntil(Time(time.Millisecond))
+	if c.Pending() != 1 {
+		t.Fatalf("Pending = %d after the first event fired, want 1", c.Pending())
+	}
+	e.Cancel() // must not panic or touch the queue
+	if c.Pending() != 1 {
+		t.Fatalf("Pending = %d after canceling a fired event, want 1", c.Pending())
+	}
 	c.Run()
-	e.Cancel() // must not panic
+	if c.Executed() != 2 || c.Pending() != 0 {
+		t.Fatalf("Executed = %d, Pending = %d; want 2, 0", c.Executed(), c.Pending())
+	}
 }
 
 func TestRunUntilStopsAtBoundary(t *testing.T) {
@@ -322,33 +333,38 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-// Regression: Cancel must remove the event from the heap immediately so
-// Pending() does not overreport — long chaos runs used to accumulate
-// dead entries until they drained.
+// Regression: Cancel must remove the event from the wheel immediately,
+// so Pending() does not overreport and the wheel never holds dead
+// entries (or their callbacks) until their slot drains — long chaos
+// runs used to accumulate them.
 func TestCancelRemovesFromQueue(t *testing.T) {
 	c := NewClock()
 	events := make([]*Event, 100)
 	for i := range events {
-		events[i] = c.Schedule(time.Duration(i+1)*time.Millisecond, func() {})
+		d := time.Duration(i+1) * time.Millisecond
+		if i%10 == 9 {
+			d += 80 * time.Minute // overflow heap
+		}
+		events[i] = c.Schedule(d, func() {})
 	}
 	if c.Pending() != 100 {
 		t.Fatalf("Pending = %d, want 100", c.Pending())
 	}
 	for i, e := range events {
-		if i%2 == 0 {
+		if i%2 == 0 || i%10 == 9 {
 			e.Cancel()
 		}
 	}
-	if c.Pending() != 50 {
-		t.Fatalf("Pending after canceling half = %d, want 50 (canceled events must be removed eagerly)", c.Pending())
+	if c.Pending() != 40 {
+		t.Fatalf("Pending after canceling 60 = %d, want 40 (canceled events must be removed eagerly)", c.Pending())
 	}
-	fired := 0
+	if held, canceled := wheelCensus(c.Engine()); held != 40 || canceled != 0 {
+		t.Fatalf("wheel holds %d events, %d of them canceled; want 40, 0", held, canceled)
+	}
 	c.Schedule(0, func() {}) // repopulate ordering stress
-	for c.Step() {
-		fired++
-	}
-	if fired != 51 {
-		t.Fatalf("fired %d events, want 51", fired)
+	c.Run()
+	if c.Executed() != 41 {
+		t.Fatalf("fired %d events, want 41", c.Executed())
 	}
 	if c.Pending() != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", c.Pending())
