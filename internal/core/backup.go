@@ -431,7 +431,9 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 				// Installing the zero page is one page-sized write.
 				decodeCost += backupCopyCost(int64(len(data)))
 			case criu.FrameDedup:
-				// Verify the donor hash; the content itself is shared.
+				// Verify the donor hash. The modelled store shares the
+				// donor's page; the host-side copy that keeps every
+				// buffer single-owned is not charged.
 				decodeCost += c.PageHash
 			}
 		}
@@ -441,7 +443,7 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	for _, d := range decoded {
 		// Decoded buffers (and the image's own page buffers below) are
 		// dead after this merge; hand them to the store without copying.
-		b.store.PutOwned(d.key, d.data)
+		b.install(d.key, d.data)
 	}
 	for pi := range img.Procs {
 		p := &img.Procs[pi]
@@ -449,7 +451,7 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 			if pg.PN >= maxPageNumber {
 				panic(fmt.Sprintf("core: page number %#x exceeds store key space", pg.PN))
 			}
-			b.store.PutOwned(criu.PageKey(pi, pg.PN), pg.Data)
+			b.install(criu.PageKey(pi, pg.PN), pg.Data)
 			pageBytes += int64(len(pg.Data))
 		}
 	}
@@ -502,6 +504,14 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	cost += 40 * simtime.Microsecond // ack + bookkeeping
 	b.CPUBusy += cost
 	return nil
+}
+
+// install merges one page buffer into the store under key and recycles
+// the buffer it displaces: every stored buffer has exactly one holder
+// (a dedup frame decodes to a copy of its donor), so the displaced one
+// is dead.
+func (b *BackupAgent) install(key uint64, data []byte) {
+	criu.RecyclePageBuf(b.store.PutOwned(key, data))
 }
 
 // CommittedEpoch returns the newest committed epoch (ok=false before the

@@ -22,6 +22,13 @@ type orphanEnv struct {
 
 func newOrphanEnv(t *testing.T, replicas int) *orphanEnv {
 	t.Helper()
+	return newRedisChainEnv(t, replicas, nil)
+}
+
+// newRedisChainEnv is newOrphanEnv with a hook that adjusts the
+// configuration (option set, lease) before the replicator starts.
+func newRedisChainEnv(t *testing.T, replicas int, tweak func(*core.Config)) *orphanEnv {
+	t.Helper()
 	sv := workloads.Redis()
 	prof := sv.Profile()
 	clock := simtime.NewClock()
@@ -40,6 +47,9 @@ func newOrphanEnv(t *testing.T, replicas int) *orphanEnv {
 		if err := fresh.Reattach(rc, state); err != nil {
 			t.Errorf("reattach: %v", err)
 		}
+	}
+	if tweak != nil {
+		tweak(&cfg)
 	}
 	repl := core.NewChainReplicator(views, ctr, cfg)
 	repl.Start()

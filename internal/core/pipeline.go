@@ -298,11 +298,12 @@ func (run *epochRun) transfer() {
 		epoch, img := run.epoch, run.img
 		// Chain fan-out: every further replica gets its own deep copy of
 		// the image on its own flow. The copy is mandatory, not an
-		// optimization — page buffers are pool-recycled when a backup
-		// commits, so two backups must never share frame storage. Slot 0
-		// keeps the original image and the legacy flow name, and alone
-		// drives the pipeline's StageTransfer completion; replica drops
-		// arm the same full-resync repair without touching the run.
+		// optimization — a backup's store recycles the page buffers its
+		// commits displace, so two backups must never share page storage.
+		// Slot 0 keeps the original image and the legacy flow name, and
+		// alone drives the pipeline's StageTransfer completion; replica
+		// drops arm the same full-resync repair without touching the run,
+		// and release the clone, which nothing else references.
 		for _, s := range r.chain[1:] {
 			if s.fenced || s.agent.recovered || s.agent.halted {
 				continue
@@ -312,6 +313,7 @@ func (run *epochRun) transfer() {
 			s.view.Xfer.SubmitReq(r.flowFor(s.idx), img2.StreamChunks(xferChunkBytes), func() {
 				s.agent.receiveState(epoch, img2)
 			}, func() {
+				img2.Release()
 				r.replicaTransferDropped(epoch)
 			})
 		}
@@ -331,7 +333,8 @@ func (run *epochRun) transfer() {
 			//
 			// The image itself is dead weight from here on: the scheduler
 			// never fires done after dropped, and chain replicas got
-			// clones, so its page buffers are exclusively ours. Release
+			// clones, so its verbatim page buffers are exclusively ours
+			// (full-frame payloads stay with the delta encoder). Release
 			// them now instead of pinning a (typically full) image per
 			// epoch for as long as the backup stays unreachable. Only the
 			// header that recordStop/record read survives.

@@ -104,11 +104,13 @@ func PageKey(procIdx int, pn uint64) uint64 {
 
 // --- Page-buffer pool ---------------------------------------------------------
 
-// pagePool recycles page-sized scratch buffers between the checkpoint
-// collector (which copies dirty pages out of the address space) and the
-// delta encoder (which retires superseded base copies). Only buffers
-// that provably never left the primary are returned: a buffer shipped in
-// a full frame is co-owned by the backup's store and must not be reused.
+// pagePool recycles page-sized buffers around a closed loop. The
+// checkpoint collector, Image.Clone and the backup's frame decoder take
+// buffers from it; they come back when they die: a dropped image's pages
+// (Image.Release), a delta encoder base that was superseded and never
+// left the primary, and a page a backup's store displaced (DESIGN.md §8,
+// page-buffer ownership). A buffer goes back only when its last holder
+// lets go of it, so a recycled buffer is never still referenced.
 var pagePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, simkernel.PageSize)
@@ -116,8 +118,9 @@ var pagePool = sync.Pool{
 	},
 }
 
-// getPageBuf returns a page-sized scratch buffer. Callers must overwrite
-// it completely; recycled buffers hold stale content.
+// getPageBuf returns a page-sized buffer from the pool (any other size
+// is freshly allocated). Callers must overwrite it completely; recycled
+// buffers hold stale content.
 func getPageBuf(n int) []byte {
 	if n != simkernel.PageSize {
 		return make([]byte, n)
@@ -125,8 +128,11 @@ func getPageBuf(n int) []byte {
 	return *pagePool.Get().(*[]byte)
 }
 
-// putPageBuf recycles an exclusively-owned, dead page buffer.
-func putPageBuf(b []byte) {
+// RecyclePageBuf returns a dead page buffer to the pool. The caller
+// must hold the only reference to it: the buffer will be handed out and
+// overwritten by the next checkpoint. Buffers that are not page-sized
+// are left to the garbage collector.
+func RecyclePageBuf(b []byte) {
 	if len(b) != simkernel.PageSize {
 		return
 	}
@@ -211,10 +217,10 @@ func EncodeXORDelta(base, cur []byte) []byte {
 }
 
 // ApplyXORDelta reconstructs the new page content from a committed base
-// and a sparse XOR patch. The result is a fresh buffer; base is not
-// modified.
+// and a sparse XOR patch. The result is a buffer from the page pool that
+// the caller owns; base is not modified.
 func ApplyXORDelta(base, patch []byte) ([]byte, error) {
-	out := make([]byte, len(base))
+	out := getPageBuf(len(base))
 	copy(out, base)
 	for i := 0; i < len(patch); {
 		if len(patch)-i < runHeaderBytes {
@@ -332,7 +338,7 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 		// The copied buffer never leaves this host: recycle it and point
 		// the base at the shared zero singleton.
 		e.setBase(key, zeroPage, hv, epoch, true)
-		putPageBuf(pg.Data)
+		RecyclePageBuf(pg.Data)
 		st.ZeroFrames++
 		return PageFrame{Kind: FrameZero, PN: pg.PN, Hash: hv}
 	}
@@ -378,7 +384,7 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 func (e *DeltaEncoder) setBase(key uint64, data []byte, hv, epoch uint64, shared bool) {
 	if prev := e.base[key]; prev != nil {
 		if !prev.shared {
-			putPageBuf(prev.data)
+			RecyclePageBuf(prev.data)
 		}
 		if e.dedup && prev.hash != hv && len(e.byHash[hv]) < maxDonorCands {
 			e.byHash[hv] = append(e.byHash[hv], key)
@@ -433,7 +439,7 @@ func (e *DeltaEncoder) findDonor(self, hv uint64, data []byte, acked uint64, hav
 func (e *DeltaEncoder) reset() {
 	for _, sp := range e.base {
 		if !sp.shared {
-			putPageBuf(sp.data)
+			RecyclePageBuf(sp.data)
 		}
 	}
 	e.base = make(map[uint64]*sentPage)
@@ -449,16 +455,22 @@ func (e *DeltaEncoder) reset() {
 // or diverged donor — is an error, and the caller must reject the whole
 // image rather than commit a corrupted page.
 //
-// A dedup frame returns the donor's stored slice itself: the store then
-// holds the same content under both keys, which is exactly the radix
-// store's cross-VMA/process dedup. Stored pages are never mutated in
-// place (only replaced), so the sharing is safe.
+// A full frame returns its own payload. A zero, delta or dedup frame
+// returns a buffer from the page pool that the caller owns; a dedup frame
+// copies its donor rather than aliasing it, so no stored buffer is ever
+// held under two keys and a displaced one can always be recycled.
 func DecodeFrame(f *PageFrame, key uint64, store PageStore) ([]byte, error) {
 	switch f.Kind {
 	case FrameFull:
+		if got := HashPage(f.Data); got != f.Hash {
+			return nil, fmt.Errorf("criu: full frame for page %#x carries content %#x, want %#x (corrupt)", key, got, f.Hash)
+		}
 		return f.Data, nil
 	case FrameZero:
-		return make([]byte, simkernel.PageSize), nil
+		// A recycled buffer holds another page's content.
+		out := getPageBuf(simkernel.PageSize)
+		clear(out)
+		return out, nil
 	case FrameDelta:
 		base := store.Get(key)
 		if base == nil {
@@ -472,6 +484,7 @@ func DecodeFrame(f *PageFrame, key uint64, store PageStore) ([]byte, error) {
 			return nil, err
 		}
 		if got := HashPage(out); got != f.Hash {
+			RecyclePageBuf(out)
 			return nil, fmt.Errorf("criu: delta frame for page %#x reconstructed %#x, want %#x", key, got, f.Hash)
 		}
 		return out, nil
@@ -483,7 +496,9 @@ func DecodeFrame(f *PageFrame, key uint64, store PageStore) ([]byte, error) {
 		if got := HashPage(donor); got != f.Hash {
 			return nil, fmt.Errorf("criu: dedup frame for page %#x: donor %#x content %#x, want %#x (stale)", key, f.Donor, got, f.Hash)
 		}
-		return donor, nil
+		out := getPageBuf(len(donor))
+		copy(out, donor)
+		return out, nil
 	default:
 		return nil, fmt.Errorf("criu: unknown frame kind %d", f.Kind)
 	}

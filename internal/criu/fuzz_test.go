@@ -42,10 +42,11 @@ func FuzzXORDelta(f *testing.F) {
 }
 
 // FuzzDecodeFrame drives the backup's frame decoder with a delta frame
-// built from (base, cur), a corrupted copy of its patch, and an
-// arbitrary frame. The intact frame must decode to cur. The corrupted
-// one must decode to cur or be rejected: the content hash check may
-// never let a wrong page through. The arbitrary frame must not panic.
+// built from (base, cur), a corrupted copy of its patch, a full frame of
+// cur, a corrupted copy of its payload, and an arbitrary frame. The
+// intact frames must decode to cur. The corrupted ones must decode to
+// cur or be rejected: the content hash check may never let a wrong page
+// through. The arbitrary frame must not panic.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("committed"), []byte("committed, then written"), []byte{1}, uint8(FrameDelta), uint64(0), uint64(0))
 	f.Add([]byte{}, []byte{0, 0, 9}, []byte{0, 0, 0, 0, 0x80}, uint8(FrameDedup), uint64(1), uint64(0))
@@ -75,6 +76,21 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if out, err := DecodeFrame(&bad, key, store); err == nil && !bytes.Equal(out, cur) {
 				t.Fatal("corrupted patch decoded to a wrong page without an error")
+			}
+		}
+
+		full := PageFrame{Kind: FrameFull, PN: 1, Hash: HashPage(cur), Data: append([]byte(nil), cur...)}
+		if out, err := DecodeFrame(&full, key, store); err != nil || !bytes.Equal(out, cur) {
+			t.Fatalf("intact full frame: err=%v, page matches=%v", err, bytes.Equal(out, cur))
+		}
+		if len(noise) > 0 {
+			bad := full
+			bad.Data = append([]byte(nil), cur...)
+			for i, b := range noise {
+				bad.Data[i%len(bad.Data)] ^= b
+			}
+			if out, err := DecodeFrame(&bad, key, store); err == nil && !bytes.Equal(out, cur) {
+				t.Fatal("corrupted full frame decoded to a wrong page without an error")
 			}
 		}
 

@@ -100,26 +100,33 @@ type Image struct {
 	// released marks an image whose content was given up by Release;
 	// only its header remains.
 	released bool
+	// ownsFrames marks an image whose full-frame payloads are its own (a
+	// Clone). The original image's payloads are co-owned by the delta
+	// encoder's bases.
+	ownsFrames bool
 }
 
 // Clone returns a copy of the image that is safe to deliver to an
 // additional replica in a fan-out chain. Every page-content buffer —
 // verbatim dirty pages, full-frame payloads, XOR patches, fs-cache
 // pages — is deep-copied: the originals are co-owned by the first
-// replica's page store and by the primary's recycled staging buffers,
-// and a restore on one replica must never alias another replica's
-// committed state. Structured snapshots (threads, VMAs, sockets,
+// replica's page store and by the delta encoder's bases, and a restore
+// on one replica must never alias another replica's committed state.
+// Page copies come from the page pool, so the buffers a replica's store
+// displaces and recycles are what later clones are built from; the
+// clone owns all of them. Structured snapshots (threads, VMAs, sockets,
 // infrequent state) and AppState are shared read-only; at most one
 // replica of a generation ever restores them.
 func (img *Image) Clone() *Image {
 	cp := *img
+	cp.ownsFrames = true
 	cp.Procs = make([]ProcessImage, len(img.Procs))
 	for i := range img.Procs {
 		p := img.Procs[i]
 		if len(p.Pages) > 0 {
 			pages := make([]PageImage, len(p.Pages))
 			for j, pg := range p.Pages {
-				d := make([]byte, len(pg.Data))
+				d := getPageBuf(len(pg.Data))
 				copy(d, pg.Data)
 				pages[j] = PageImage{PN: pg.PN, Data: d}
 			}
@@ -129,7 +136,7 @@ func (img *Image) Clone() *Image {
 			frames := make([]PageFrame, len(p.Frames))
 			for j, f := range p.Frames {
 				if f.Data != nil {
-					d := make([]byte, len(f.Data))
+					d := getPageBuf(len(f.Data))
 					copy(d, f.Data)
 					f.Data = d
 				}
@@ -159,16 +166,22 @@ func (img *Image) Clone() *Image {
 
 // Release gives up the content of an image that can never reach a
 // replica (its transfer was dropped on the link). The verbatim page
-// buffers are exclusively the image's — the collector filled them and
-// no replica received them; chain replicas got Clones — so they return
-// to the collector's pool. Encoded frame payloads are co-owned by the
-// delta encoder's bases and are only dereferenced. Everything but the
-// header (ContainerID, Epoch, Full) is cleared: fs-cache pages, socket
-// and process snapshots, and AppState.
+// buffers are exclusively the image's — the collector (or Clone) filled
+// them and no replica received them — so they return to the page pool.
+// A clone's full-frame payloads are its own and return too; the
+// original image's are co-owned by the delta encoder's bases and are
+// only dereferenced. Everything but the header (ContainerID, Epoch,
+// Full) is cleared: fs-cache pages, socket and process snapshots, and
+// AppState.
 func (img *Image) Release() {
 	for i := range img.Procs {
 		for _, pg := range img.Procs[i].Pages {
-			putPageBuf(pg.Data)
+			RecyclePageBuf(pg.Data)
+		}
+		if img.ownsFrames {
+			for _, f := range img.Procs[i].Frames {
+				RecyclePageBuf(f.Data)
+			}
 		}
 	}
 	*img = Image{ContainerID: img.ContainerID, Epoch: img.Epoch, Full: img.Full, released: true}

@@ -24,10 +24,11 @@ type PageStore interface {
 	// Put stores (a copy of) data under key.
 	Put(key uint64, data []byte)
 	// PutOwned stores data under key, taking ownership of the slice
-	// (no copy). Callers must not reuse data afterwards. The backup
-	// agent uses this for received checkpoint pages, whose buffers are
-	// dead after the merge.
-	PutOwned(key uint64, data []byte)
+	// (no copy), and returns the buffer it displaces (nil if key was
+	// absent). Callers must not reuse data afterwards. The store keeps no
+	// reference to the displaced buffer, so the caller owns it again —
+	// the backup agent recycles it (DESIGN.md §8, page-buffer ownership).
+	PutOwned(key uint64, data []byte) (displaced []byte)
 	// Get returns the stored page (nil if absent). The result must not
 	// be mutated.
 	Get(key uint64) []byte
@@ -83,8 +84,9 @@ func (s *ListStore) Put(key uint64, data []byte) {
 	s.PutOwned(key, cp)
 }
 
-// PutOwned is Put without the defensive copy.
-func (s *ListStore) PutOwned(key uint64, data []byte) {
+// PutOwned is Put without the defensive copy; it returns the displaced
+// copy.
+func (s *ListStore) PutOwned(key uint64, data []byte) (displaced []byte) {
 	if len(s.dirs) == 0 {
 		s.dirs = append(s.dirs, nil)
 	}
@@ -94,8 +96,10 @@ func (s *ListStore) PutOwned(key uint64, data []byte) {
 		dir := s.dirs[di]
 		for i := range dir {
 			if dir[i].key == key {
+				displaced = dir[i].data
 				last := len(dir) - 1
 				dir[i] = dir[last]
+				dir[last] = pageRec{}
 				s.dirs[di] = dir[:last]
 				found = true
 				break
@@ -112,6 +116,7 @@ func (s *ListStore) PutOwned(key uint64, data []byte) {
 	cur := len(s.dirs) - 1
 	s.dirs[cur] = append(s.dirs[cur], pageRec{key: key, data: data})
 	s.cost += costListAppend
+	return displaced
 }
 
 // Get linearly searches the directories (newest first).
@@ -196,8 +201,9 @@ func (s *RadixStore) Put(key uint64, data []byte) {
 	s.PutOwned(key, cp)
 }
 
-// PutOwned is Put without the defensive copy.
-func (s *RadixStore) PutOwned(key uint64, data []byte) {
+// PutOwned is Put without the defensive copy; it returns the displaced
+// copy.
+func (s *RadixStore) PutOwned(key uint64, data []byte) (displaced []byte) {
 	n := s.root
 	for level := 0; level < 3; level++ {
 		i := radixIdx(key, level)
@@ -207,11 +213,13 @@ func (s *RadixStore) PutOwned(key uint64, data []byte) {
 		n = n.children[i]
 	}
 	i := radixIdx(key, 3)
-	if n.leaves[i] == nil {
+	displaced = n.leaves[i]
+	if displaced == nil {
 		s.n++
 	}
 	n.leaves[i] = data
 	s.cost += costRadixPut
+	return displaced
 }
 
 // Get walks the tree.

@@ -2,6 +2,7 @@ package simkernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nilicon/internal/simtime"
@@ -81,6 +82,14 @@ type AddressSpace struct {
 	softTracking bool
 	wpTracking   bool
 
+	// softDirtyLog records the page number of every soft-dirty bit that
+	// went from clear to set since the last clear, so the pagemap read
+	// and clear_refs cost O(dirty pages) of host time rather than a walk
+	// of every resident page. Entries may repeat, and may name pages
+	// since unmapped; readers filter against the page map. Every page
+	// whose bit is set is listed.
+	softDirtyLog []uint64
+
 	// trackOverhead accumulates runtime dirty-tracking costs (soft-dirty
 	// faults or VM exits) since the last harvest. The container scheduler
 	// folds it into thread execution time; this is the paper's "runtime
@@ -120,6 +129,8 @@ func (as *AddressSpace) Mmap(size uint64, prot Prot, path string, pid int, conta
 func (as *AddressSpace) Munmap(v *VMA) {
 	for i, x := range as.vmas {
 		if x == v {
+			// The dropped pages' soft-dirty log entries go stale; readers
+			// skip them.
 			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
 			for pn := v.Start / PageSize; pn < v.End/PageSize; pn++ {
 				delete(as.pages, pn)
@@ -178,16 +189,14 @@ func (as *AddressSpace) page(pn uint64, forWrite bool) *Page {
 		as.pages[pn] = pg
 		as.trackOverhead += as.k.Costs.MinorFault
 		// A freshly faulted page starts dirty under both trackers.
-		pg.SoftDirty = true
+		as.setSoftDirty(pn, pg)
 		return pg
 	}
 	if forWrite {
 		if as.softTracking && !pg.SoftDirty {
-			pg.SoftDirty = true
 			as.trackOverhead += as.k.Costs.SoftDirtyFault
-		} else if !as.softTracking {
-			pg.SoftDirty = true
 		}
+		as.setSoftDirty(pn, pg)
 		if as.wpTracking && pg.WriteProtected {
 			pg.WriteProtected = false
 			as.trackOverhead += as.k.Costs.VMExit
@@ -283,26 +292,59 @@ func (as *AddressSpace) WriteProtectAll() {
 // touching page bits.
 func (as *AddressSpace) SetWriteProtectTracking(on bool) { as.wpTracking = on }
 
-// DirtyPageNumbers returns the sorted page numbers whose soft-dirty bit
-// is set. This is the functional core of a pagemap scan; the procfs
-// wrapper charges the scan cost.
-func (as *AddressSpace) DirtyPageNumbers() []uint64 {
-	var out []uint64
-	for pn, pg := range as.pages {
-		if pg.SoftDirty {
-			out = append(out, pn)
+// setSoftDirty sets page pn's soft-dirty bit, logging a clear-to-set
+// transition.
+func (as *AddressSpace) setSoftDirty(pn uint64, pg *Page) {
+	if pg.SoftDirty {
+		return
+	}
+	pg.SoftDirty = true
+	as.softDirtyLog = append(as.softDirtyLog, pn)
+	if len(as.softDirtyLog) > 2*len(as.pages)+64 {
+		// Without a clear_refs (an untracked container that keeps
+		// remapping) stale entries would pile up; compacting bounds the
+		// log by the page map.
+		as.compactSoftDirtyLog()
+	}
+}
+
+// compactSoftDirtyLog rewrites the log in place as the sorted, distinct
+// numbers of the resident pages whose soft-dirty bit is set.
+func (as *AddressSpace) compactSoftDirtyLog() {
+	log := as.softDirtyLog
+	w := 0
+	for _, pn := range log {
+		if pg := as.pages[pn]; pg != nil && pg.SoftDirty {
+			log[w] = pn
+			w++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	log = log[:w]
+	slices.Sort(log)
+	as.softDirtyLog = slices.Compact(log)
+}
+
+// DirtyPageNumbers returns the sorted page numbers whose soft-dirty bit
+// is set. This is the functional core of a pagemap scan; the procfs
+// wrapper charges the scan cost (per resident page, as the kernel's
+// walk costs), but the host work is proportional to the dirty pages.
+func (as *AddressSpace) DirtyPageNumbers() []uint64 {
+	as.compactSoftDirtyLog()
+	if len(as.softDirtyLog) == 0 {
+		return nil
+	}
+	return slices.Clone(as.softDirtyLog)
 }
 
 // ClearSoftDirtyBits clears every page's soft-dirty bit (the functional
 // part of writing /proc/pid/clear_refs).
 func (as *AddressSpace) ClearSoftDirtyBits() {
-	for _, pg := range as.pages {
-		pg.SoftDirty = false
+	for _, pn := range as.softDirtyLog {
+		if pg := as.pages[pn]; pg != nil {
+			pg.SoftDirty = false
+		}
 	}
+	as.softDirtyLog = as.softDirtyLog[:0]
 }
 
 // PageData returns the frame contents for page number pn (nil if the
@@ -320,8 +362,8 @@ func (as *AddressSpace) PageData(pn uint64) []byte {
 func (as *AddressSpace) InstallPage(pn uint64, data []byte) {
 	pg := &Page{Data: make([]byte, PageSize)}
 	copy(pg.Data, data)
-	pg.SoftDirty = true
 	as.pages[pn] = pg
+	as.setSoftDirty(pn, pg)
 }
 
 // InstallVMA places a VMA during restore (no hook fire, no allocator

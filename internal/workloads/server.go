@@ -109,7 +109,7 @@ func (sv *Server) SnapshotState() any {
 	sv.state.ReaderBufs = make(map[connID][]byte, len(sv.readers))
 	for id, fr := range sv.readers {
 		if fr.Buffered() > 0 {
-			sv.state.ReaderBufs[id] = append([]byte(nil), fr.buf...)
+			sv.state.ReaderBufs[id] = append([]byte(nil), fr.buf[fr.off:]...)
 		}
 	}
 	return sv.state.clone()

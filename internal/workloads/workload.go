@@ -164,34 +164,49 @@ func Frame(op byte, payload []byte) []byte {
 	return out
 }
 
-// FrameReader incrementally parses a byte stream into frames.
+// FrameReader incrementally parses a byte stream into frames. Next
+// advances a read offset and Feed compacts the unconsumed tail to the
+// front before appending, so a connection reuses one buffer for its
+// whole life.
 type FrameReader struct {
 	buf []byte
+	off int // start of the unconsumed bytes in buf
 }
 
 // Feed appends stream bytes.
-func (fr *FrameReader) Feed(b []byte) { fr.buf = append(fr.buf, b...) }
+func (fr *FrameReader) Feed(b []byte) {
+	if fr.off > 0 {
+		n := copy(fr.buf, fr.buf[fr.off:])
+		fr.buf = fr.buf[:n]
+		fr.off = 0
+	}
+	fr.buf = append(fr.buf, b...)
+}
 
 // Next returns the next complete frame (ok=false if none buffered).
 func (fr *FrameReader) Next() (op byte, payload []byte, ok bool) {
-	if len(fr.buf) < 5 {
+	rest := fr.buf[fr.off:]
+	if len(rest) < 5 {
 		return 0, nil, false
 	}
-	n := binary.BigEndian.Uint32(fr.buf)
+	n := binary.BigEndian.Uint32(rest)
 	if n < 1 || n > 64<<20 {
 		panic(fmt.Sprintf("workloads: bad frame length %d", n))
 	}
-	if len(fr.buf) < 4+int(n) {
+	if len(rest) < 4+int(n) {
 		return 0, nil, false
 	}
-	op = fr.buf[4]
-	payload = append([]byte(nil), fr.buf[5:4+n]...)
-	fr.buf = fr.buf[4+n:]
+	op = rest[4]
+	payload = append([]byte(nil), rest[5:4+n]...)
+	fr.off += 4 + int(n)
+	if fr.off == len(fr.buf) {
+		fr.buf, fr.off = fr.buf[:0], 0
+	}
 	return op, payload, true
 }
 
 // Buffered returns the number of unconsumed bytes.
-func (fr *FrameReader) Buffered() int { return len(fr.buf) }
+func (fr *FrameReader) Buffered() int { return len(fr.buf) - fr.off }
 
 // KeyBytes renders a KV key.
 func KeyBytes(k uint64) []byte {
