@@ -43,7 +43,7 @@ func main() {
 	stack.Connect("10.0.0.10", 6379, func(s *simnet.Socket) {
 		sock = s
 		s.OnData = func(s *simnet.Socket) {
-			fr.Feed(s.ReadAll())
+			fr.FeedFrom(s)
 			for {
 				op, payload, ok := fr.Next()
 				if !ok {
@@ -58,10 +58,10 @@ func main() {
 
 	set := func(key uint64, val string) {
 		payload := append(workloads.KeyBytes(key), []byte(val)...)
-		sock.Send(workloads.Frame(workloads.OpSet, payload))
+		sock.Send(workloads.AppendFrame(nil, workloads.OpSet, payload))
 	}
 	get := func(key uint64) {
-		sock.Send(workloads.Frame(workloads.OpGet, workloads.KeyBytes(key)))
+		sock.Send(workloads.AppendGet(nil, key))
 	}
 
 	fmt.Println("write k=1, wait for the committed reply:")

@@ -253,10 +253,10 @@ func TestContainerNetworkThroughQdisc(t *testing.T) {
 
 	var reply []byte
 	ctr.Stack.Listen(7, func(s *simnet.Socket) {
-		s.OnData = func(s *simnet.Socket) { s.Send(s.ReadAll()) }
+		s.OnData = func(s *simnet.Socket) { s.Send(s.Drain(nil)) }
 	})
 	client.Connect("10.0.0.5", 7, func(s *simnet.Socket) {
-		s.OnData = func(s *simnet.Socket) { reply = append(reply, s.ReadAll()...) }
+		s.OnData = func(s *simnet.Socket) { reply = s.Drain(reply) }
 		s.Send([]byte("ping"))
 	})
 	clock.Run()
@@ -275,13 +275,13 @@ func TestEgressHeldWhileReplicating(t *testing.T) {
 
 	var reply []byte
 	ctr.Stack.Listen(7, func(s *simnet.Socket) {
-		s.OnData = func(s *simnet.Socket) { s.Send(s.ReadAll()) }
+		s.OnData = func(s *simnet.Socket) { s.Send(s.Drain(nil)) }
 	})
 	// Connect first (pass-through), then enable replication buffering.
 	var cl *simnet.Socket
 	client.Connect("10.0.0.5", 7, func(s *simnet.Socket) {
 		cl = s
-		s.OnData = func(s *simnet.Socket) { reply = append(reply, s.ReadAll()...) }
+		s.OnData = func(s *simnet.Socket) { reply = s.Drain(reply) }
 	})
 	clock.Run()
 	ctr.Qdisc.SetReplicating(true)

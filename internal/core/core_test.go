@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,13 +41,13 @@ func (a *kvApp) RestoreState(s any) {
 
 func (a *kvApp) handle(s *simnet.Socket) {
 	for {
-		buf := string(s.Peek())
-		nl := strings.IndexByte(buf, '\n')
+		buf := s.Peek()
+		nl := bytes.IndexByte(buf, '\n')
 		if nl < 0 {
 			return
 		}
-		line := string(s.ReadN(nl + 1))
-		line = strings.TrimSpace(line)
+		line := strings.TrimSpace(string(buf[:nl+1]))
+		s.Discard(nl + 1)
 		parts := strings.SplitN(line, " ", 3)
 		switch parts[0] {
 		case "SET":
@@ -92,7 +93,8 @@ func newKVClient(cl *Cluster, ip simnet.Addr, serverIP simnet.Addr) *kvClient {
 	st.Connect(serverIP, 6379, func(s *simnet.Socket) {
 		c.sock = s
 		s.OnData = func(s *simnet.Socket) {
-			c.partial += string(s.ReadAll())
+			c.partial += string(s.Peek())
+			s.Discard(s.Available())
 			for {
 				nl := strings.IndexByte(c.partial, '\n')
 				if nl < 0 {

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"nilicon/internal/container"
@@ -172,12 +172,11 @@ func (a *randApp) RestoreState(any)   {}
 
 func (a *randApp) handle(s *simnet.Socket) {
 	for {
-		buf := string(s.Peek())
-		nl := strings.IndexByte(buf, '\n')
+		nl := bytes.IndexByte(s.Peek(), '\n')
 		if nl < 0 {
 			return
 		}
-		s.ReadN(nl + 1)
+		s.Discard(nl + 1)
 		n := a.proc.GetRandom()
 		s.Send([]byte(fmt.Sprintf("%d\n", n%1000)))
 	}

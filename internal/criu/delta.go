@@ -110,12 +110,11 @@ func PageKey(procIdx int, pn uint64) uint64 {
 // (Image.Release), a delta encoder base that was superseded and never
 // left the primary, and a page a backup's store displaced (DESIGN.md §8,
 // page-buffer ownership). A buffer goes back only when its last holder
-// lets go of it, so a recycled buffer is never still referenced.
+// lets go of it, so a recycled buffer is never still referenced. The
+// pool holds array pointers, which fit in an interface without boxing,
+// so a recycle allocates nothing.
 var pagePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, simkernel.PageSize)
-		return &b
-	},
+	New: func() any { return new([simkernel.PageSize]byte) },
 }
 
 // getPageBuf returns a page-sized buffer from the pool (any other size
@@ -125,7 +124,7 @@ func getPageBuf(n int) []byte {
 	if n != simkernel.PageSize {
 		return make([]byte, n)
 	}
-	return *pagePool.Get().(*[]byte)
+	return pagePool.Get().(*[simkernel.PageSize]byte)[:]
 }
 
 // RecyclePageBuf returns a dead page buffer to the pool. The caller
@@ -136,7 +135,7 @@ func RecyclePageBuf(b []byte) {
 	if len(b) != simkernel.PageSize {
 		return
 	}
-	pagePool.Put(&b)
+	pagePool.Put((*[simkernel.PageSize]byte)(b))
 }
 
 // --- Hashing ------------------------------------------------------------------

@@ -85,7 +85,7 @@ func TestMCOutputCommit(t *testing.T) {
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
 	ctr.AddProcess("guest", 0)
 	ctr.Stack.Listen(7, func(s *simnet.Socket) {
-		s.OnData = func(s *simnet.Socket) { s.Send(s.ReadAll()) }
+		s.OnData = func(s *simnet.Socket) { s.Send(s.Drain(nil)) }
 	})
 	mc := New(cl, ctr, Config{})
 	mc.Start()
@@ -96,7 +96,7 @@ func TestMCOutputCommit(t *testing.T) {
 	client := cl.NewClient("10.0.0.1")
 	client.Connect("10.0.0.20", 7, func(s *simnet.Socket) {
 		s.OnData = func(s *simnet.Socket) {
-			got = append(got, s.ReadAll()...)
+			got = s.Drain(got)
 			gotAt = clock.Now()
 		}
 		sentAt = clock.Now()

@@ -237,7 +237,15 @@ func (as *AddressSpace) Read(addr uint64, n int) ([]byte, error) {
 	if err := as.checkRange(addr, n); err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
+	return as.AppendRead(make([]byte, 0, n), addr, n)
+}
+
+// AppendRead appends the n bytes starting at addr to dst and returns
+// the extended slice (dst unchanged on error).
+func (as *AddressSpace) AppendRead(dst []byte, addr uint64, n int) ([]byte, error) {
+	if err := as.checkRange(addr, n); err != nil {
+		return dst, err
+	}
 	for off := 0; off < n; {
 		pn := (addr + uint64(off)) / PageSize
 		po := (addr + uint64(off)) % PageSize
@@ -246,10 +254,10 @@ func (as *AddressSpace) Read(addr uint64, n int) ([]byte, error) {
 			c = n - off
 		}
 		pg := as.page(pn, false)
-		copy(out[off:off+c], pg.Data[po:])
+		dst = append(dst, pg.Data[po:int(po)+c]...)
 		off += c
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Touch dirties count pages starting at the VMA's base without copying

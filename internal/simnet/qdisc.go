@@ -45,6 +45,9 @@ type PlugQdisc struct {
 	curEpoch    uint64
 	current     []Packet
 	pending     []epochBuffer
+	// spare is a released epoch buffer's storage, emptied, which the
+	// next Rotate hands to the new current epoch.
+	spare []Packet
 
 	inputBlocked bool
 	inputMode    InputBlockMode
@@ -111,7 +114,7 @@ func (q *PlugQdisc) Egress(pkt Packet) {
 func (q *PlugQdisc) Rotate(epoch uint64) {
 	if len(q.current) > 0 {
 		q.pending = append(q.pending, epochBuffer{epoch: epoch, pkts: q.current})
-		q.current = nil
+		q.current, q.spare = q.spare, nil
 	}
 	q.curEpoch = epoch + 1
 }
@@ -123,12 +126,16 @@ func (q *PlugQdisc) Release(acked uint64) {
 		if q.pending[i].epoch > acked {
 			break
 		}
-		for _, pkt := range q.pending[i].pkts {
+		pkts := q.pending[i].pkts
+		for _, pkt := range pkts {
 			q.egressReleased++
 			if q.out != nil {
 				q.out(pkt)
 			}
 		}
+		clear(pkts)
+		q.spare = pkts[:0]
+		q.pending[i] = epochBuffer{}
 	}
 	q.pending = q.pending[i:]
 }

@@ -76,8 +76,8 @@ func (s *Socket) LeaveRepair(repairRTOPatch bool) {
 		if s.rtoTimer != nil {
 			s.rtoTimer.Cancel()
 		}
-		if len(s.sendQ) > 0 {
-			s.rtoTimer = s.stack.clock.Schedule(remaining, func() { s.retransmitAll() })
+		if len(s.unacked()) > 0 {
+			s.rtoTimer = s.stack.clock.Schedule(remaining, s.onRTO)
 		}
 		return
 	}
@@ -100,7 +100,9 @@ func (s *Socket) SetRestoredAt(t simtime.Time) {
 }
 
 // SnapshotSocket collects a socket's repair-mode state, charging the
-// per-socket and per-queued-byte costs to the stack's kernel meter.
+// per-socket and per-queued-byte costs to the stack's kernel meter. The
+// write-queue segments are immutable, so the snapshot shares them; the
+// read queue is copied, because the socket reuses its buffer.
 func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 	queued := 0
 	sn := SocketSnapshot{
@@ -113,15 +115,16 @@ func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 		SndNxt:     s.sndNxt,
 		RcvNxt:     s.rcvNxt,
 	}
-	for _, sg := range s.sendQ {
-		data := make([]byte, len(sg.data))
-		copy(data, sg.data)
-		sn.WriteQueue = append(sn.WriteQueue, SegmentSnapshot{Seq: sg.seq, Data: data, FIN: sg.fin})
-		queued += len(sg.data)
+	if q := s.unacked(); len(q) > 0 {
+		sn.WriteQueue = make([]SegmentSnapshot, len(q))
+		for i, sg := range q {
+			sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: sg.data, FIN: sg.fin}
+			queued += len(sg.data)
+		}
 	}
-	sn.ReadQueue = make([]byte, len(s.recvBuf))
-	copy(sn.ReadQueue, s.recvBuf)
-	queued += len(s.recvBuf)
+	sn.ReadQueue = make([]byte, s.Available())
+	copy(sn.ReadQueue, s.Peek())
+	queued += len(sn.ReadQueue)
 
 	if st.Kernel != nil {
 		c := st.Kernel.Costs
@@ -142,12 +145,20 @@ func (st *Stack) RestoreSocket(sn SocketSnapshot) *Socket {
 	s.sndNxt = sn.SndNxt
 	s.rcvNxt = sn.RcvNxt
 	s.repair = true
+	// The restored queues never alias the snapshot: one copy holds the
+	// whole write queue, and the read queue goes into the socket's own
+	// buffer.
+	queued := 0
 	for _, sg := range sn.WriteQueue {
-		data := make([]byte, len(sg.Data))
-		copy(data, sg.Data)
-		s.sendQ = append(s.sendQ, segment{seq: sg.Seq, data: data, fin: sg.FIN})
+		queued += len(sg.Data)
 	}
-	s.recvBuf = append(s.recvBuf, sn.ReadQueue...)
+	buf := make([]byte, 0, queued)
+	for _, sg := range sn.WriteQueue {
+		start := len(buf)
+		buf = append(buf, sg.Data...)
+		s.queue(segment{seq: sg.Seq, data: buf[start:len(buf):len(buf)], fin: sg.FIN})
+	}
+	s.appendRecv(sn.ReadQueue)
 	if st.Kernel != nil {
 		st.Kernel.Charge(st.Kernel.Costs.RestorePerSocket)
 	}

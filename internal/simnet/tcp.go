@@ -64,15 +64,23 @@ type Socket struct {
 	sndNxt uint32 // next byte to send
 	rcvNxt uint32 // next byte expected
 
-	// sendQ holds transmitted-but-unacknowledged segments: the "write
-	// queue" TCP repair mode exposes (§II-B).
-	sendQ []segment
-	// recvBuf holds bytes received in order but not yet read by the
-	// process: the "read queue".
+	// sendQ[sendHead:] holds transmitted-but-unacknowledged segments:
+	// the "write queue" TCP repair mode exposes (§II-B). Segment data is
+	// immutable once queued, so packets and snapshots share it. ACKs
+	// advance sendHead; the storage is reused once the queue drains.
+	sendQ    []segment
+	sendHead int
+	// recvBuf[recvOff:] holds bytes received in order but not yet read
+	// by the process: the "read queue". The socket keeps recvBuf's
+	// storage for its whole life; reads copy out of it.
 	recvBuf []byte
+	recvOff int
 
-	rto        simtime.Duration
-	rtoTimer   *simtime.Event
+	rto      simtime.Duration
+	rtoTimer *simtime.Event
+	// onRTO is retransmitAll bound once, so arming the timer on every
+	// Send and ACK allocates no closure.
+	onRTO      func()
 	synTries   int
 	retransmit int
 
@@ -221,6 +229,7 @@ func (st *Stack) newSocket(local int, remote Addr, remotePort int) *Socket {
 		RemotePort: remotePort,
 		rto:        st.RTOInitial,
 	}
+	s.onRTO = s.retransmitAll
 	st.nextID++
 	st.byID[s.ID] = s
 	st.sockets[connKey{remote, remotePort, local}] = s
@@ -270,7 +279,9 @@ func (st *Stack) armSynTimer(s *Socket) {
 }
 
 // Send queues data for transmission and emits it in MSS-sized segments.
-// Bytes stay in the write queue until acknowledged.
+// Bytes stay in the write queue until acknowledged. Send copies data
+// once, so the caller may reuse it as soon as Send returns; the segments
+// are capacity-clipped views of that one copy.
 func (s *Socket) Send(data []byte) {
 	if s.State != StateEstablished && s.State != StateCloseWait {
 		return
@@ -278,19 +289,16 @@ func (s *Socket) Send(data []byte) {
 	if s.stack.OnAppSend != nil {
 		s.stack.OnAppSend(s, data)
 	}
-	for len(data) > 0 {
-		n := s.stack.MSS
-		if n > len(data) {
-			n = len(data)
-		}
-		chunk := make([]byte, n)
-		copy(chunk, data[:n])
-		sg := segment{seq: s.sndNxt, data: chunk}
-		s.sendQ = append(s.sendQ, sg)
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	for len(buf) > 0 {
+		n := min(s.stack.MSS, len(buf))
+		sg := segment{seq: s.sndNxt, data: buf[:n:n]}
+		buf = buf[n:]
+		s.queue(sg)
 		s.sndNxt += uint32(n)
 		s.bytesOut += int64(n)
-		s.stack.emit(s, FlagACK, sg.seq, s.rcvNxt, chunk)
-		data = data[n:]
+		s.stack.emit(s, FlagACK, sg.seq, s.rcvNxt, sg.data)
 	}
 	s.armRTO()
 }
@@ -302,34 +310,38 @@ func (s *Socket) Close() {
 	}
 	s.State = StateFinWait
 	sg := segment{seq: s.sndNxt, fin: true}
-	s.sendQ = append(s.sendQ, sg)
+	s.queue(sg)
 	s.sndNxt++
 	s.stack.emit(s, FlagFIN|FlagACK, sg.seq, s.rcvNxt, nil)
 	s.armRTO()
 }
 
 // Available returns the number of unread bytes in the read queue.
-func (s *Socket) Available() int { return len(s.recvBuf) }
+func (s *Socket) Available() int { return len(s.recvBuf) - s.recvOff }
 
-// ReadAll drains and returns the read queue.
-func (s *Socket) ReadAll() []byte {
-	b := s.recvBuf
-	s.recvBuf = nil
-	return b
+// Drain appends the whole read queue to dst, empties the queue and
+// returns the extended slice. The appended bytes are a copy: the socket
+// keeps its buffer and reuses it for later deliveries.
+func (s *Socket) Drain(dst []byte) []byte {
+	dst = append(dst, s.recvBuf[s.recvOff:]...)
+	s.Discard(s.Available())
+	return dst
 }
 
-// ReadN reads up to n bytes from the read queue.
-func (s *Socket) ReadN(n int) []byte {
-	if n > len(s.recvBuf) {
-		n = len(s.recvBuf)
+// Peek returns the read queue without consuming it. The slice is a view
+// of the socket's buffer: it is valid until the next delivery, Drain or
+// Discard, and the caller must not modify it.
+func (s *Socket) Peek() []byte {
+	return s.recvBuf[s.recvOff:len(s.recvBuf):len(s.recvBuf)]
+}
+
+// Discard consumes up to n bytes from the front of the read queue.
+func (s *Socket) Discard(n int) {
+	s.recvOff += min(n, s.Available())
+	if s.recvOff == len(s.recvBuf) {
+		s.recvBuf, s.recvOff = s.recvBuf[:0], 0
 	}
-	b := s.recvBuf[:n]
-	s.recvBuf = s.recvBuf[n:]
-	return b
 }
-
-// Peek returns the read queue without consuming it.
-func (s *Socket) Peek() []byte { return s.recvBuf }
 
 // BytesIn and BytesOut return transfer totals.
 func (s *Socket) BytesIn() int64  { return s.bytesIn }
@@ -338,27 +350,53 @@ func (s *Socket) BytesOut() int64 { return s.bytesOut }
 // UnackedBytes returns the size of the write queue.
 func (s *Socket) UnackedBytes() int {
 	n := 0
-	for _, sg := range s.sendQ {
+	for _, sg := range s.unacked() {
 		n += len(sg.data)
 	}
 	return n
+}
+
+// unacked returns the write queue.
+func (s *Socket) unacked() []segment { return s.sendQ[s.sendHead:] }
+
+// queue appends a segment to the write queue. When the queue is full and
+// at least half of its storage lies before the head, the unacknowledged
+// segments move to the front first, so the storage is reused and each
+// segment is moved at most once per doubling.
+func (s *Socket) queue(sg segment) {
+	if len(s.sendQ) == cap(s.sendQ) && s.sendHead > 0 && s.sendHead >= len(s.sendQ)/2 {
+		n := copy(s.sendQ, s.sendQ[s.sendHead:])
+		clear(s.sendQ[n:])
+		s.sendQ, s.sendHead = s.sendQ[:n], 0
+	}
+	s.sendQ = append(s.sendQ, sg)
+}
+
+// ackThrough drops the first n segments of the write queue, releasing
+// their data.
+func (s *Socket) ackThrough(n int) {
+	clear(s.sendQ[s.sendHead : s.sendHead+n])
+	s.sendHead += n
+	if s.sendHead == len(s.sendQ) {
+		s.sendQ, s.sendHead = s.sendQ[:0], 0
+	}
 }
 
 func (s *Socket) armRTO() {
 	if s.rtoTimer != nil {
 		s.rtoTimer.Cancel()
 	}
-	if len(s.sendQ) == 0 || s.repair {
+	if len(s.unacked()) == 0 || s.repair {
 		return
 	}
-	s.rtoTimer = s.stack.clock.Schedule(s.rto, func() { s.retransmitAll() })
+	s.rtoTimer = s.stack.clock.Schedule(s.rto, s.onRTO)
 }
 
 func (s *Socket) retransmitAll() {
-	if len(s.sendQ) == 0 || s.repair || s.State == StateClosed {
+	if len(s.unacked()) == 0 || s.repair || s.State == StateClosed {
 		return
 	}
-	for _, sg := range s.sendQ {
+	for _, sg := range s.unacked() {
 		flags := FlagACK
 		if sg.fin {
 			flags |= FlagFIN
@@ -491,14 +529,15 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 	// ACK processing: drop fully acknowledged segments.
 	if pkt.Flags&FlagACK != 0 && seqLT(s.sndUna, pkt.Ack) && seqLE(pkt.Ack, s.sndNxt) {
 		s.sndUna = pkt.Ack
+		q := s.unacked()
 		i := 0
-		for ; i < len(s.sendQ); i++ {
-			if seqLT(pkt.Ack, s.sendQ[i].end()) {
+		for ; i < len(q); i++ {
+			if seqLT(pkt.Ack, q[i].end()) {
 				break
 			}
 		}
-		s.sendQ = s.sendQ[i:]
-		if len(s.sendQ) == 0 {
+		s.ackThrough(i)
+		if len(s.unacked()) == 0 {
 			s.rto = st.RTOMin
 			if s.rtoTimer != nil {
 				s.rtoTimer.Cancel()
@@ -532,7 +571,7 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 			seq = s.rcvNxt
 		}
 		if seq == s.rcvNxt {
-			s.recvBuf = append(s.recvBuf, payload...)
+			s.appendRecv(payload)
 			s.rcvNxt += uint32(len(payload))
 			s.bytesIn += int64(len(payload))
 			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
@@ -555,4 +594,14 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 			s.OnClose(s)
 		}
 	}
+}
+
+// appendRecv adds in-order bytes to the read queue, first moving any
+// unread tail to the front of the buffer so its storage is reused.
+func (s *Socket) appendRecv(b []byte) {
+	if s.recvOff > 0 {
+		n := copy(s.recvBuf, s.recvBuf[s.recvOff:])
+		s.recvBuf, s.recvOff = s.recvBuf[:n], 0
+	}
+	s.recvBuf = append(s.recvBuf, b...)
 }

@@ -63,7 +63,7 @@ func TestDataTransfer(t *testing.T) {
 	p := newPair(t)
 	var got []byte
 	p.b.Listen(80, func(s *Socket) {
-		s.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { got = s.Drain(got) }
 	})
 	p.a.Connect(p.b.IP, 80, func(s *Socket) {
 		s.Send([]byte("hello "))
@@ -80,7 +80,7 @@ func TestLargeTransferSegmentsAtMSS(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 10_000)
 	var got []byte
 	p.b.Listen(80, func(s *Socket) {
-		s.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { got = s.Drain(got) }
 	})
 	p.a.Connect(p.b.IP, 80, func(s *Socket) { s.Send(payload) })
 	p.clock.Run()
@@ -93,10 +93,10 @@ func TestBidirectionalEcho(t *testing.T) {
 	p := newPair(t)
 	var reply []byte
 	p.b.Listen(7, func(s *Socket) {
-		s.OnData = func(s *Socket) { s.Send(s.ReadAll()) }
+		s.OnData = func(s *Socket) { s.Send(s.Drain(nil)) }
 	})
 	p.a.Connect(p.b.IP, 7, func(s *Socket) {
-		s.OnData = func(s *Socket) { reply = append(reply, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { reply = s.Drain(reply) }
 		s.Send([]byte("ping"))
 	})
 	p.clock.Run()
@@ -123,7 +123,7 @@ func TestRetransmissionAfterLoss(t *testing.T) {
 	p := newPair(t)
 	var got []byte
 	p.b.Listen(80, func(s *Socket) {
-		s.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { got = s.Drain(got) }
 	})
 	var cl *Socket
 	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
@@ -152,7 +152,7 @@ func TestDuplicateSegmentsDiscarded(t *testing.T) {
 	var srv *Socket
 	p.b.Listen(80, func(s *Socket) {
 		srv = s
-		s.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { got = s.Drain(got) }
 	})
 	var cl *Socket
 	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
@@ -177,7 +177,7 @@ func TestPartialOverlapConsumesOnlyNewBytes(t *testing.T) {
 	var srv *Socket
 	p.b.Listen(80, func(s *Socket) {
 		srv = s
-		s.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { got = s.Drain(got) }
 	})
 	var cl *Socket
 	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
@@ -202,7 +202,7 @@ func TestOutOfOrderSegmentDropped(t *testing.T) {
 	var srv *Socket
 	p.b.Listen(80, func(s *Socket) {
 		srv = s
-		s.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { got = s.Drain(got) }
 	})
 	var cl *Socket
 	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
@@ -330,7 +330,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if r.State != StateEstablished || r.rcvNxt != sn.RcvNxt || r.sndNxt != sn.SndNxt {
 		t.Fatalf("restored socket = %v", r)
 	}
-	if string(r.ReadAll()) != "request" {
+	if string(r.Drain(nil)) != "request" {
 		t.Fatal("read queue not restored")
 	}
 	if r.UnackedBytes() != 8 {
@@ -377,7 +377,7 @@ func TestRestoredSocketRetransmitsAfterRepairRTO(t *testing.T) {
 	primary.Listen(80, func(s *Socket) { srv = s })
 	client.Connect("10.0.0.9", 80, func(s *Socket) {
 		cl = s
-		s.OnData = func(s *Socket) { reply = append(reply, s.ReadAll()...) }
+		s.OnData = func(s *Socket) { reply = s.Drain(reply) }
 	})
 	c.Run()
 
@@ -432,7 +432,7 @@ func TestRestoredSocketWithoutPatchIsSlow(t *testing.T) {
 	}
 	var got []byte
 	clSock := client.RestoreSocket(clSn)
-	clSock.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+	clSock.OnData = func(s *Socket) { got = s.Drain(got) }
 	clSock.LeaveRepair(true)
 	r := backup.RestoreSocket(srvSn)
 	sw.Learn("10.0.0.9", pbk)
@@ -465,7 +465,7 @@ func TestPropertyStreamIntegrity(t *testing.T) {
 
 		var want, got []byte
 		b.Listen(1, func(s *Socket) {
-			s.OnData = func(s *Socket) { got = append(got, s.ReadAll()...) }
+			s.OnData = func(s *Socket) { got = s.Drain(got) }
 		})
 		a.Connect("b", 1, func(s *Socket) {
 			for _, ch := range chunks {
@@ -538,5 +538,108 @@ func TestSnapshotChargesKernelMeter(t *testing.T) {
 	want := k.Costs.SockRepairPerSocket + 2*k.Costs.SockRepairPerKB
 	if cost != want {
 		t.Fatalf("snapshot cost = %v, want %v", cost, want)
+	}
+}
+
+// Send copies the caller's bytes: overwriting the buffer right after
+// Send changes neither the first transmission nor the retransmission of
+// a segment whose first copy was lost.
+func TestSendCopiesCallerBuffer(t *testing.T) {
+	p := newPair(t)
+	var got []byte
+	p.b.Listen(80, func(s *Socket) {
+		s.OnData = func(s *Socket) { got = s.Drain(got) }
+	})
+	var cl *Socket
+	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
+	p.clock.Run()
+
+	want := bytes.Repeat([]byte("0123456789"), 500) // 4 segments
+	buf := append([]byte(nil), want...)
+	cl.Send(buf)
+	for i := range buf {
+		buf[i] = '!'
+	}
+	p.clock.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, not the ones sent", len(got))
+	}
+
+	// Lose the first transmission; the retransmission must carry the
+	// bytes as they were at Send.
+	got = nil
+	p.pb.SetEnabled(false)
+	copy(buf, want)
+	cl.Send(buf)
+	for i := range buf {
+		buf[i] = '?'
+	}
+	p.clock.RunFor(10 * simtime.Millisecond)
+	p.pb.SetEnabled(true)
+	p.clock.Run()
+	if cl.Retransmits() == 0 {
+		t.Fatal("nothing was retransmitted")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("retransmission delivered %d bytes, not the ones sent", len(got))
+	}
+}
+
+// The socket reuses its receive buffer across deliveries, so a snapshot
+// must own its copy of the read queue: later deliveries into the reused
+// storage leave the snapshot as it was, and the snapshot shares the
+// write queue's immutable segments instead.
+func TestSnapshotReadQueueSurvivesBufferReuse(t *testing.T) {
+	p := newPair(t)
+	var srv *Socket
+	p.b.Listen(80, func(s *Socket) { srv = s })
+	var cl *Socket
+	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
+	p.clock.Run()
+	cl.Send([]byte("first-request"))
+	p.clock.Run()
+	p.pa.SetEnabled(false) // keep srv's reply unacknowledged
+	srv.Send([]byte("reply"))
+	sn := p.b.SnapshotSocket(srv)
+
+	srv.Drain(nil)
+	p.pa.SetEnabled(true)
+	cl.Send([]byte("SECOND-REQUEST"))
+	p.clock.RunFor(simtime.Millisecond)
+	if string(srv.Peek()) != "SECOND-REQUEST" {
+		t.Fatalf("read queue = %q", srv.Peek())
+	}
+	if string(sn.ReadQueue) != "first-request" {
+		t.Fatalf("snapshot read queue changed to %q", sn.ReadQueue)
+	}
+	if len(sn.WriteQueue) != 1 || string(sn.WriteQueue[0].Data) != "reply" {
+		t.Fatalf("snapshot write queue = %+v", sn.WriteQueue)
+	}
+	if &sn.WriteQueue[0].Data[0] != &srv.unacked()[0].data[0] {
+		t.Fatal("snapshot copied an immutable write-queue segment")
+	}
+}
+
+// One Send makes one allocation however many segments it emits: the
+// segments are capacity-clipped views of a single copy, and arming the
+// retransmission timer allocates no closure.
+func TestSendAllocatesOneCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	p := newPair(t)
+	p.b.Listen(80, func(s *Socket) {})
+	var cl *Socket
+	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
+	p.clock.Run()
+	p.pa.SetEnabled(false) // the switch drops the frames: no delivery events
+	msg := make([]byte, 4*p.a.MSS)
+	allocs := testing.AllocsPerRun(100, func() { cl.Send(msg) })
+	if allocs > 1 {
+		t.Fatalf("%.0f allocations per 4-segment Send, want 1", allocs)
+	}
+	q := cl.unacked()
+	if last := q[len(q)-1].data; cap(last) != len(last) {
+		t.Fatalf("segment capacity %d exceeds its length %d", cap(last), len(last))
 	}
 }

@@ -35,8 +35,19 @@ const (
 type outstanding struct {
 	op       byte
 	sentAt   simtime.Time
-	expected []byte // nil → don't verify content
+	expected []byte // nil → don't verify content (unless version is set)
 	key      uint64
+	// version > 0 means the reply must be ValueFor(key, version,
+	// recordSize); it is checked in place instead of via expected.
+	version uint32
+}
+
+// matches reports whether payload is the reply exp expects.
+func (exp outstanding) matches(payload []byte) bool {
+	if exp.version > 0 {
+		return valueIs(payload, exp.key, exp.version, recordSize)
+	}
+	return exp.expected == nil || bytes.Equal(payload, exp.expected)
 }
 
 // Client is one closed-loop load generator.
@@ -50,6 +61,8 @@ type Client struct {
 	stack *simnet.Stack
 	sock  *simnet.Socket
 	fr    FrameReader
+	// out is the scratch space requests are framed in; Send copies it.
+	out []byte
 
 	inflight  []outstanding
 	respCount int
@@ -176,49 +189,17 @@ func (c *Client) issue() {
 		if batch <= 0 {
 			batch = 1000
 		}
-		var buf bytes.Buffer
+		c.out = c.out[:0]
 		now := c.set.cl.Clock.Now()
 		for i := 0; i < batch; i++ {
-			key := c.randKey()
-			if i%2 == 0 {
-				// Write: bump the version.
-				v := c.versions[key] + 1
-				c.versions[key] = v
-				payload := append(KeyBytes(key), ValueFor(key, v, recordSize)...)
-				buf.Write(Frame(OpSet, payload))
-				c.inflight = append(c.inflight, outstanding{op: OpSet, sentAt: now, expected: []byte("OK"), key: key})
-				c.set.record(now, c.id, traffic.OpSet, key, recordSize)
-			} else {
-				v, known := c.versions[key]
-				var exp []byte
-				if known {
-					exp = ValueFor(key, v, recordSize)
-				}
-				buf.Write(Frame(OpGet, KeyBytes(key)))
-				c.inflight = append(c.inflight, outstanding{op: OpGet, sentAt: now, expected: exp, key: key})
-				c.set.record(now, c.id, traffic.OpGet, key, 0)
-			}
+			c.frameKV(now, c.randKey(), i%2 == 0)
 		}
-		c.sock.Send(buf.Bytes())
+		c.sock.Send(c.out)
 	case KVProbe:
 		key := c.randKey()
-		now := c.set.cl.Clock.Now()
-		if c.rng.Intn(2) == 0 {
-			v := c.versions[key] + 1
-			c.versions[key] = v
-			c.sock.Send(Frame(OpSet, append(KeyBytes(key), ValueFor(key, v, recordSize)...)))
-			c.inflight = append(c.inflight, outstanding{op: OpSet, sentAt: now, expected: []byte("OK"), key: key})
-			c.set.record(now, c.id, traffic.OpSet, key, recordSize)
-		} else {
-			v, known := c.versions[key]
-			var exp []byte
-			if known {
-				exp = ValueFor(key, v, recordSize)
-			}
-			c.sock.Send(Frame(OpGet, KeyBytes(key)))
-			c.inflight = append(c.inflight, outstanding{op: OpGet, sentAt: now, expected: exp, key: key})
-			c.set.record(now, c.id, traffic.OpGet, key, 0)
-		}
+		c.out = c.out[:0]
+		c.frameKV(c.set.cl.Clock.Now(), key, c.rng.Intn(2) == 0)
+		c.sock.Send(c.out)
 	case WebLoop:
 		pathID := uint32(c.rng.Intn(512))
 		var p [4]byte
@@ -226,7 +207,8 @@ func (c *Client) issue() {
 		// Web/echo loops capture as gets keyed by path: the trace format
 		// is kv-shaped, so a replay drives the page set as reads.
 		c.set.record(c.set.cl.Clock.Now(), c.id, traffic.OpGet, uint64(pathID), c.set.prof.RespKB<<10)
-		c.sock.Send(Frame(OpWeb, p[:]))
+		c.out = AppendFrame(c.out[:0], OpWeb, p[:])
+		c.sock.Send(c.out)
 		c.inflight = append(c.inflight, outstanding{
 			op: OpWeb, sentAt: c.set.cl.Clock.Now(),
 			expected: PageFor(pathID, c.set.prof.RespKB<<10),
@@ -239,13 +221,30 @@ func (c *Client) issue() {
 		payload := make([]byte, size)
 		c.rng.Read(payload)
 		c.set.record(c.set.cl.Clock.Now(), c.id, traffic.OpSet, uint64(c.id), size)
-		c.sock.Send(Frame(OpEcho, payload))
+		c.out = AppendFrame(c.out[:0], OpEcho, payload)
+		c.sock.Send(c.out)
 		c.inflight = append(c.inflight, outstanding{op: OpEcho, sentAt: c.set.cl.Clock.Now(), expected: payload})
 	}
 }
 
+// frameKV appends one SET (a write, which bumps the key's version) or
+// GET to the client's request scratch and queues its expected reply.
+func (c *Client) frameKV(now simtime.Time, key uint64, write bool) {
+	if write {
+		v := c.versions[key] + 1
+		c.versions[key] = v
+		c.out = AppendSet(c.out, key, v, recordSize)
+		c.inflight = append(c.inflight, outstanding{op: OpSet, sentAt: now, expected: respOK, key: key})
+		c.set.record(now, c.id, traffic.OpSet, key, recordSize)
+		return
+	}
+	c.out = AppendGet(c.out, key)
+	c.inflight = append(c.inflight, outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key]})
+	c.set.record(now, c.id, traffic.OpGet, key, 0)
+}
+
 func (c *Client) onData(s *simnet.Socket) {
-	c.fr.Feed(s.ReadAll())
+	c.fr.FeedFrom(s)
 	for {
 		op, payload, ok := c.fr.Next()
 		if !ok {
@@ -259,9 +258,13 @@ func (c *Client) onData(s *simnet.Socket) {
 		c.inflight = c.inflight[1:]
 		if op != exp.op {
 			c.set.fail(fmt.Sprintf("client %d: response op %q for request %q", c.id, op, exp.op))
-		} else if exp.expected != nil && !bytes.Equal(payload, exp.expected) {
+		} else if !exp.matches(payload) {
+			want := len(exp.expected)
+			if exp.version > 0 {
+				want = recordSize
+			}
 			c.set.fail(fmt.Sprintf("client %d: wrong content for op %q key %d (%dB vs %dB expected)",
-				c.id, exp.op, exp.key, len(payload), len(exp.expected)))
+				c.id, exp.op, exp.key, len(payload), want))
 		}
 		c.set.Completed++
 		c.set.windowCount++

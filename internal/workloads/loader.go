@@ -16,6 +16,7 @@ type Loader struct {
 	window  int
 	sock    *simnet.Socket
 	fr      FrameReader
+	out     []byte // request scratch; Send copies it
 }
 
 // NewLoader starts loading `records` sequential keys.
@@ -32,14 +33,14 @@ func NewLoader(cl *core.Cluster, prof Profile, serverIP simnet.Addr, records int
 
 func (l *Loader) fill() {
 	for l.next < l.records && l.next-l.acked < l.window {
-		payload := append(KeyBytes(uint64(l.next)), ValueFor(uint64(l.next), 1, recordSize)...)
-		l.sock.Send(Frame(OpSet, payload))
+		l.out = AppendSet(l.out[:0], uint64(l.next), 1, recordSize)
+		l.sock.Send(l.out)
 		l.next++
 	}
 }
 
 func (l *Loader) onData(s *simnet.Socket) {
-	l.fr.Feed(s.ReadAll())
+	l.fr.FeedFrom(s)
 	for {
 		_, _, ok := l.fr.Next()
 		if !ok {

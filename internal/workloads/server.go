@@ -15,12 +15,20 @@ import (
 const recordSize = 1024
 
 // connID identifies a TCP connection across checkpoint/restore (socket
-// object identities change at restore; the 4-tuple does not).
-type connID string
+// object identities change at restore; the 4-tuple does not: the local
+// address is the container's own).
+type connID struct {
+	Remote     simnet.Addr
+	RemotePort int
+	LocalPort  int
+}
 
 func connIDOf(s *simnet.Socket) connID {
-	return connID(fmt.Sprintf("%s:%d-%d", s.Remote, s.RemotePort, s.LocalPort))
+	return connID{s.Remote, s.RemotePort, s.LocalPort}
 }
+
+// respOK is the SET reply payload.
+var respOK = []byte("OK")
 
 // pendingReq is one parsed-but-unprocessed request.
 type pendingReq struct {
@@ -84,6 +92,9 @@ type Server struct {
 	readers map[connID]*FrameReader
 	conns   map[connID]*simnet.Socket
 	file    *simfs.Inode
+	// out and val are scratch space a reply frame and a generated value
+	// are built in; Send and the file system copy what they keep.
+	out, val []byte
 
 	processed int64
 }
@@ -268,13 +279,15 @@ func (sv *Server) onData(s *simnet.Socket) {
 		sv.readers[id] = fr
 		sv.conns[id] = s
 	}
-	fr.Feed(s.ReadAll())
+	fr.FeedFrom(s)
 	for {
 		op, payload, ok := fr.Next()
 		if !ok {
 			break
 		}
-		sv.state.Pending = append(sv.state.Pending, pendingReq{Conn: id, Op: op, Payload: payload})
+		// The payload is a view of the reader's buffer; the queued
+		// request keeps its own copy.
+		sv.state.Pending = append(sv.state.Pending, pendingReq{Conn: id, Op: op, Payload: append([]byte(nil), payload...)})
 	}
 	sv.wakeWorkers()
 }
@@ -311,7 +324,8 @@ func (sv *Server) step(w *worker) (simtime.Duration, simtime.Duration) {
 
 func (sv *Server) respond(id connID, op byte, payload []byte) {
 	if s := sv.conns[id]; s != nil {
-		s.Send(Frame(op, payload))
+		sv.out = AppendFrame(sv.out[:0], op, payload)
+		s.Send(sv.out)
 	}
 }
 
@@ -392,7 +406,7 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 		// Internal data-structure churn per write (dict entries,
 		// allocator metadata) dirties additional pages.
 		sv.churn(w, byte(key))
-		sv.respond(req.Conn, OpSet, []byte("OK"))
+		sv.respond(req.Conn, OpSet, respOK)
 	case OpGet:
 		if len(req.Payload) < 8 {
 			sv.fail("short GET payload")
@@ -410,12 +424,13 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 			return cpu
 		}
 		mem := sv.ctr.Procs[0].Mem
-		value, err := mem.Read(addr, recordSize)
+		var err error
+		sv.val, err = mem.AppendRead(sv.val[:0], addr, recordSize)
 		if err != nil {
 			sv.fail("heap read: " + err.Error())
 			return cpu
 		}
-		sv.respond(req.Conn, OpGet, value)
+		sv.respond(req.Conn, OpGet, sv.val)
 	case OpWeb:
 		if len(req.Payload) < 4 {
 			sv.fail("short WEB payload")
@@ -427,7 +442,8 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 		if sv.file != nil && sv.prof.FSBytesPerWrite > 0 {
 			// Session/DB write (DJCMS's MySQL).
 			slot := int(pathID) % 4096
-			_ = sv.ctr.FS.WriteAt(sv.file, int64(slot)*256, ValueFor(uint64(pathID), 0, sv.prof.FSBytesPerWrite))
+			sv.val = appendValue(sv.val[:0], uint64(pathID), 0, sv.prof.FSBytesPerWrite)
+			_ = sv.ctr.FS.WriteAt(sv.file, int64(slot)*256, sv.val)
 			cpu += sv.prof.DiskWriteLat
 		}
 		sv.respond(req.Conn, OpWeb, PageFor(pathID, sv.prof.RespKB<<10))

@@ -35,6 +35,7 @@ type traceConn struct {
 	idx     int
 	sock    *simnet.Socket
 	fr      FrameReader
+	out     []byte   // request scratch; Send copies it
 	pending [][]byte // frames issued before the connect completed
 }
 
@@ -44,24 +45,23 @@ func (tc *traceConn) Send(req traffic.Request) {
 	if size <= 0 {
 		size = recordSize
 	}
-	var frame []byte
 	switch req.Op {
 	case traffic.OpSet:
 		// The value is derived from (key, request id) so a replayed write
 		// is deterministic without the replayer tracking versions.
-		frame = Frame(OpSet, append(KeyBytes(req.Key), ValueFor(req.Key, uint32(req.ID), size)...))
+		tc.out = AppendSet(tc.out[:0], req.Key, uint32(req.ID), size)
 	default:
-		frame = Frame(OpGet, KeyBytes(req.Key))
+		tc.out = AppendGet(tc.out[:0], req.Key)
 	}
 	if tc.sock == nil {
-		tc.pending = append(tc.pending, frame)
+		tc.pending = append(tc.pending, append([]byte(nil), tc.out...))
 		return
 	}
-	tc.sock.Send(frame)
+	tc.sock.Send(tc.out)
 }
 
 func (tc *traceConn) onData(s *simnet.Socket) {
-	tc.fr.Feed(s.ReadAll())
+	tc.fr.FeedFrom(s)
 	for {
 		op, _, ok := tc.fr.Next()
 		if !ok {

@@ -11,12 +11,14 @@
 package workloads
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"nilicon/internal/container"
 	"nilicon/internal/core"
+	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
 
@@ -155,17 +157,32 @@ const (
 	OpEcho = byte('E') // payload: arbitrary → resp identical payload
 )
 
-// Frame encodes one message.
-func Frame(op byte, payload []byte) []byte {
-	out := make([]byte, 4+1+len(payload))
-	binary.BigEndian.PutUint32(out, uint32(1+len(payload)))
-	out[4] = op
-	copy(out[5:], payload)
-	return out
+// AppendFrame appends one message carrying payload to dst and returns
+// the extended slice.
+func AppendFrame(dst []byte, op byte, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(payload)))
+	dst = append(dst, op)
+	return append(dst, payload...)
+}
+
+// AppendSet appends a SET message for key whose value is
+// ValueFor(key, version, size).
+func AppendSet(dst []byte, key uint64, version uint32, size int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(1+8+size))
+	dst = append(dst, OpSet)
+	dst = binary.BigEndian.AppendUint64(dst, key)
+	return appendValue(dst, key, version, size)
+}
+
+// AppendGet appends a GET message for key.
+func AppendGet(dst []byte, key uint64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, 1+8)
+	dst = append(dst, OpGet)
+	return binary.BigEndian.AppendUint64(dst, key)
 }
 
 // FrameReader incrementally parses a byte stream into frames. Next
-// advances a read offset and Feed compacts the unconsumed tail to the
+// advances a read offset and a feed compacts the unconsumed tail to the
 // front before appending, so a connection reuses one buffer for its
 // whole life.
 type FrameReader struct {
@@ -173,17 +190,30 @@ type FrameReader struct {
 	off int // start of the unconsumed bytes in buf
 }
 
-// Feed appends stream bytes.
-func (fr *FrameReader) Feed(b []byte) {
+// compact moves the unconsumed bytes to the front of the buffer.
+func (fr *FrameReader) compact() {
 	if fr.off > 0 {
 		n := copy(fr.buf, fr.buf[fr.off:])
 		fr.buf = fr.buf[:n]
 		fr.off = 0
 	}
+}
+
+// Feed appends stream bytes.
+func (fr *FrameReader) Feed(b []byte) {
+	fr.compact()
 	fr.buf = append(fr.buf, b...)
 }
 
-// Next returns the next complete frame (ok=false if none buffered).
+// FeedFrom moves a socket's whole read queue into the reader.
+func (fr *FrameReader) FeedFrom(s *simnet.Socket) {
+	fr.compact()
+	fr.buf = s.Drain(fr.buf)
+}
+
+// Next returns the next complete frame (ok=false if none buffered). The
+// payload is a view of the reader's buffer: it stays valid until the
+// next Feed or FeedFrom, and a caller that keeps it longer copies it.
 func (fr *FrameReader) Next() (op byte, payload []byte, ok bool) {
 	rest := fr.buf[fr.off:]
 	if len(rest) < 5 {
@@ -197,7 +227,7 @@ func (fr *FrameReader) Next() (op byte, payload []byte, ok bool) {
 		return 0, nil, false
 	}
 	op = rest[4]
-	payload = append([]byte(nil), rest[5:4+n]...)
+	payload = rest[5 : 4+n : 4+n]
 	fr.off += 4 + int(n)
 	if fr.off == len(fr.buf) {
 		fr.buf, fr.off = fr.buf[:0], 0
@@ -217,16 +247,68 @@ func KeyBytes(k uint64) []byte {
 
 // ValueFor deterministically derives a record value from (key, version):
 // clients use it to generate writes and to verify reads without storing
-// every value.
+// every value. Byte i is seed[i%12] ^ byte(i*131>>3), where seed is the
+// big-endian key followed by the big-endian version.
 func ValueFor(key uint64, version uint32, size int) []byte {
-	out := make([]byte, size)
-	var seed [12]byte
-	binary.BigEndian.PutUint64(seed[:], key)
-	binary.BigEndian.PutUint32(seed[8:], version)
-	for i := range out {
-		out[i] = seed[i%12] ^ byte(i*131>>3)
+	return appendValue(make([]byte, 0, size), key, version, size)
+}
+
+// valueMask holds the key-independent half of ValueFor's pattern,
+// byte(i*131>>3), as little-endian words. It repeats every 2048 bytes
+// (131 is odd), the seed every 12, so the whole pattern every 6144.
+var valueMask = func() (m [2048 / 8]uint64) {
+	var b [2048]byte
+	for i := range b {
+		b[i] = byte(i * 131 >> 3)
 	}
-	return out
+	for j := range m {
+		m[j] = binary.LittleEndian.Uint64(b[8*j:])
+	}
+	return m
+}()
+
+// valueSeed returns the 12-byte seed repeated over 24 bytes as three
+// little-endian words: word j of a value is seed[j%3] ^ valueMask[j%256].
+func valueSeed(key uint64, version uint32) (w [3]uint64) {
+	var b [24]byte
+	binary.BigEndian.PutUint64(b[:], key)
+	binary.BigEndian.PutUint32(b[8:], version)
+	copy(b[12:], b[:12])
+	for j := range w {
+		w[j] = binary.LittleEndian.Uint64(b[8*j:])
+	}
+	return w
+}
+
+// appendValue appends ValueFor(key, version, size) to dst a word at a
+// time.
+func appendValue(dst []byte, key uint64, version uint32, size int) []byte {
+	seed := valueSeed(key, version)
+	words := size / 8
+	for j := 0; j < words; j++ {
+		dst = binary.LittleEndian.AppendUint64(dst, seed[j%3]^valueMask[j%len(valueMask)])
+	}
+	var tail [8]byte
+	binary.LittleEndian.PutUint64(tail[:], seed[words%3]^valueMask[words%len(valueMask)])
+	return append(dst, tail[:size%8]...)
+}
+
+// valueIs reports whether b equals ValueFor(key, version, size) without
+// building the value.
+func valueIs(b []byte, key uint64, version uint32, size int) bool {
+	if len(b) != size {
+		return false
+	}
+	seed := valueSeed(key, version)
+	words := size / 8
+	for j := 0; j < words; j++ {
+		if binary.LittleEndian.Uint64(b[8*j:]) != seed[j%3]^valueMask[j%len(valueMask)] {
+			return false
+		}
+	}
+	var tail [8]byte
+	binary.LittleEndian.PutUint64(tail[:], seed[words%3]^valueMask[words%len(valueMask)])
+	return bytes.Equal(b[8*words:], tail[:size%8])
 }
 
 // pageCache memoizes PageFor: the function is pure and both the servers

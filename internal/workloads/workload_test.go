@@ -12,7 +12,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var fr FrameReader
-	fr.Feed(Frame(OpSet, []byte("payload")))
+	fr.Feed(AppendFrame(nil, OpSet, []byte("payload")))
 	op, p, ok := fr.Next()
 	if !ok || op != OpSet || string(p) != "payload" {
 		t.Fatalf("got %q %q %v", op, p, ok)
@@ -23,7 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameReaderHandlesFragmentation(t *testing.T) {
-	msg := Frame(OpGet, bytes.Repeat([]byte{7}, 100))
+	msg := AppendFrame(nil, OpGet, bytes.Repeat([]byte{7}, 100))
 	var fr FrameReader
 	for _, b := range msg {
 		fr.Feed([]byte{b})
@@ -37,7 +37,7 @@ func TestFrameReaderHandlesFragmentation(t *testing.T) {
 func TestFrameReaderHandlesCoalescing(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		buf.Write(Frame(OpEcho, []byte{byte(i)}))
+		buf.Write(AppendFrame(nil, OpEcho, []byte{byte(i)}))
 	}
 	var fr FrameReader
 	fr.Feed(buf.Bytes())
@@ -57,7 +57,7 @@ func TestPropertyFrameReassembly(t *testing.T) {
 			if len(p) > 1000 {
 				p = p[:1000]
 			}
-			stream.Write(Frame(OpEcho, p))
+			stream.Write(AppendFrame(nil, OpEcho, p))
 		}
 		var fr FrameReader
 		data := stream.Bytes()
